@@ -7,8 +7,8 @@ per simulated fillrandom run, i.e. the simulator's own efficiency. It
 backs the ``speed`` CLI target and the CI ``speed-gate`` step.
 
 Protocol: build a fresh store and run fillrandom ``warmup + repeats``
-times; the warm-up runs (imports, code caches, the block decode cache's
-first population) are discarded and the headline number is the *median*
+times; the warm-up runs (imports, code caches, the varint and pointer
+memos' first population) are discarded and the headline number is the *median*
 ops/sec of the measured runs — the median resists one-off scheduler
 noise better than the mean, and "best" is reported alongside for
 reference.

@@ -74,6 +74,7 @@ class NobLSM(DB):
         self.reclaim_runs = 0
         self.shadows_deleted = 0
         self._reclaim_timer = None
+        self._reclaiming = False
         super().__init__(stack, dbname, options=noblsm_options(options))
         self._arm_reclaim_timer()
 
@@ -231,7 +232,23 @@ class NobLSM(DB):
         self._arm_reclaim_timer()
 
     def reclaim(self, at: int) -> int:
-        """Poll ``is_committed`` and delete reclaimable shadows."""
+        """Poll ``is_committed`` and delete reclaimable shadows.
+
+        A pass polls and unlinks through the file system, which fires due
+        timers — the reclaim timer among them — so a direct call with
+        ``at`` past the next tick would re-enter itself and delete a
+        shadow twice. A call made while a pass is running returns at
+        once; the running pass does its work.
+        """
+        if self._reclaiming:
+            return at
+        self._reclaiming = True
+        try:
+            return self._reclaim_pass(at)
+        finally:
+            self._reclaiming = False
+
+    def _reclaim_pass(self, at: int) -> int:
         self.reclaim_runs += 1
         t = at
 

@@ -192,7 +192,7 @@ class NobLSMKV(NobLSM):
     # reclamation: the commit gate, extended to vLog segments
     # ------------------------------------------------------------------
 
-    def reclaim(self, at: int) -> int:
+    def _reclaim_pass(self, at: int) -> int:
         # Segment gates are polled BEFORE the shadow pass, and every gate
         # before any segment is unlinked. Ordering matters twice over:
         # unlinking erases an inode's commit record, a barrier table
@@ -202,7 +202,7 @@ class NobLSMKV(NobLSM):
         # but would read as never-committed one unlink later.
         t = at
         if not self._kv_enabled:
-            return super().reclaim(t)
+            return super()._reclaim_pass(t)
         t = self._register_dead_segments(t)
         passed: List[int] = []
         remaining: List[Tuple[int, List[int]]] = []
@@ -215,7 +215,7 @@ class NobLSMKV(NobLSM):
         self._segment_retirements = remaining
         for segment in passed:
             t = self.vlog.reclaim_segment(segment, t)
-        return super().reclaim(t)
+        return super()._reclaim_pass(t)
 
     def _retirement_committed(
         self, barrier: List[int], at: int

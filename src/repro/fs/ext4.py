@@ -19,8 +19,15 @@ file's writeback plus one cheap commit, never for unrelated dirty data
 flusher has written it back and the following asynchronous commit has
 journaled its inode — the implicit durability NobLSM builds on.
 
-Content is stored as extents that are either real bytes or zero-runs, so
-multi-gigabyte experiments (Figure 2a) run without allocating gigabytes.
+Content is stored as extents that are real bytes, zero-runs or
+*deferred* bytes. Zero-runs let multi-gigabyte experiments (Figure 2a)
+run without allocating gigabytes. A deferred extent has a known length
+and a call that produces its bytes; it is made into real bytes once, by
+the first read (or partial crash truncate) that touches it. Everything
+the model charges depends on lengths only — sizes, pages, device bytes —
+so a writer whose bytes nobody in the process will parse (an SSTable
+handed to its store already decoded) never pays to encode them, and a
+reader after a crash still finds exactly the bytes that were "written".
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.fs.jbd2 import Journal, NsOp, NsOpKind, Transaction
 from repro.fs.pagecache import PageCache
@@ -56,41 +63,69 @@ class NotAppendOnly(FsError):
     """An operation violated the append-only file model."""
 
 
-Payload = Union[bytes, int]  # real bytes, or a zero-run length
+class _Deferred:
+    """``length`` bytes that ``make()`` returns when somebody reads them."""
+
+    __slots__ = ("length", "make")
+
+    def __init__(self, length: int, make: Callable[[], bytes]) -> None:
+        self.length = length
+        self.make = make
+
+
+#: real bytes, a zero-run length, or bytes not made yet
+Payload = Union[bytes, int, _Deferred]
 
 
 class _ExtentList:
     """Append-only byte content as (start, payload) extents."""
 
-    __slots__ = ("_starts", "_payloads", "_size")
+    __slots__ = ("_starts", "_payloads", "size")
 
     def __init__(self) -> None:
         self._starts: List[int] = []
         self._payloads: List[Payload] = []
-        self._size = 0
-
-    @property
-    def size(self) -> int:
-        return self._size
+        self.size = 0  # read on every charged read: a plain attribute
 
     def append(self, data: bytes) -> None:
         if data:
-            self._starts.append(self._size)
+            self._starts.append(self.size)
             self._payloads.append(bytes(data))
-            self._size += len(data)
+            self.size += len(data)
 
     def append_zeros(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"negative zero-run {nbytes}")
         if nbytes:
-            self._starts.append(self._size)
+            self._starts.append(self.size)
             self._payloads.append(int(nbytes))
-            self._size += nbytes
+            self.size += nbytes
+
+    def append_deferred(self, nbytes: int, make: Callable[[], bytes]) -> None:
+        """Append ``nbytes`` that ``make()`` produces on first touch."""
+        if nbytes < 0:
+            raise ValueError(f"negative deferred extent {nbytes}")
+        if nbytes:
+            self._starts.append(self.size)
+            self._payloads.append(_Deferred(nbytes, make))
+            self.size += nbytes
+
+    def _materialise(self, idx: int) -> bytes:
+        """Turn the deferred extent at ``idx`` into real bytes, once."""
+        deferred = self._payloads[idx]
+        data = deferred.make()
+        if len(data) != deferred.length:
+            raise ValueError(
+                f"deferred extent promised {deferred.length} bytes, "
+                f"made {len(data)}"
+            )
+        self._payloads[idx] = data
+        return data
 
     def read(self, offset: int, nbytes: int) -> bytes:
         if offset < 0 or nbytes < 0:
             raise ValueError(f"bad read range ({offset}, {nbytes})")
-        end = min(offset + nbytes, self._size)
+        end = min(offset + nbytes, self.size)
         if offset >= end:
             return b""
         pieces: List[bytes] = []
@@ -99,6 +134,8 @@ class _ExtentList:
         while pos < end and idx < len(self._payloads):
             start = self._starts[idx]
             payload = self._payloads[idx]
+            if isinstance(payload, _Deferred):
+                payload = self._materialise(idx)
             length = payload if isinstance(payload, int) else len(payload)
             lo = pos - start
             hi = min(end - start, length)
@@ -112,7 +149,7 @@ class _ExtentList:
 
     def truncate(self, new_size: int) -> None:
         """Drop everything past ``new_size`` (crash recovery)."""
-        if new_size >= self._size:
+        if new_size >= self.size:
             return
         if new_size < 0:
             raise ValueError(f"negative truncate {new_size}")
@@ -120,17 +157,21 @@ class _ExtentList:
         del self._starts[keep:]
         del self._payloads[keep:]
         if self._payloads:
-            start = self._starts[-1]
             payload = self._payloads[-1]
-            cut = new_size - start
-            if isinstance(payload, int):
-                self._payloads[-1] = cut
-            else:
-                self._payloads[-1] = payload[:cut]
+            cut = new_size - self._starts[-1]
             if cut == 0:
                 del self._starts[-1]
                 del self._payloads[-1]
-        self._size = new_size
+            elif isinstance(payload, int):
+                self._payloads[-1] = cut
+            elif isinstance(payload, _Deferred):
+                # a torn file keeps a prefix of what was written; an
+                # extent that survives whole stays unmade
+                if cut < payload.length:
+                    self._payloads[-1] = self._materialise(-1)[:cut]
+            else:
+                self._payloads[-1] = payload[:cut]
+        self.size = new_size
 
 
 @dataclass(slots=True)
@@ -179,11 +220,19 @@ class File:
     def append_zeros(self, nbytes: int, at: int) -> int:
         return self._fs.append_zeros(self, nbytes, at)
 
+    def append_deferred(
+        self, nbytes: int, make: Callable[[], bytes], at: int
+    ) -> int:
+        return self._fs.append_deferred(self, nbytes, make, at)
+
     def write_direct(self, nbytes: int, at: int, data: bytes = b"") -> int:
         return self._fs.write_direct(self, nbytes, at, data)
 
     def read(self, offset: int, nbytes: int, at: int) -> Tuple[bytes, int]:
         return self._fs.read(self, offset, nbytes, at)
+
+    def charge_read(self, offset: int, nbytes: int, at: int) -> Tuple[int, int]:
+        return self._fs.charge_read(self, offset, nbytes, at)
 
     def fsync(self, at: int, reason: str = "fsync") -> int:
         return self._fs.fsync(self, at, reason)
@@ -444,6 +493,17 @@ class Ext4:
         t = at + self.cpu.memcpy_ns(nbytes)
         return self._record_write(inode, nbytes, t)
 
+    def append_deferred(
+        self, handle: File, nbytes: int, make: Callable[[], bytes], at: int
+    ) -> int:
+        """Buffered append of ``nbytes`` whose content ``make()`` returns
+        when first read; charged exactly like :meth:`append`."""
+        self._tick(at)
+        inode = handle._inode
+        inode.data.append_deferred(nbytes, make)
+        t = at + self.cpu.memcpy_ns(nbytes)
+        return self._record_write(inode, nbytes, t)
+
     def write_direct(self, handle: File, nbytes: int, at: int, data: bytes = b"") -> int:
         """O_DIRECT-style append: bypasses the cache, blocks on the device.
 
@@ -589,19 +649,33 @@ class Ext4:
         self._arm_flusher(delay=1)
         self.journal.request_commit()
 
-    def read(self, handle: File, offset: int, nbytes: int, at: int) -> Tuple[bytes, int]:
-        """Read bytes; page-cache misses cost device reads."""
+    def charge_read(
+        self, handle: File, offset: int, nbytes: int, at: int
+    ) -> Tuple[int, int]:
+        """Everything a read costs, without fetching the bytes.
+
+        Returns ``(length, completion)`` where ``length`` is the request
+        clamped to the file. Page-cache misses cost device reads. For a
+        caller that already holds what the bytes decode to.
+        """
+        if offset < 0 or nbytes < 0:
+            raise ValueError(f"bad read range ({offset}, {nbytes})")
         self._tick(at)
         inode = handle._inode
-        data = inode.data.read(offset, nbytes)
-        miss_bytes = self.pagecache.read_misses(inode.ino, offset, len(data))
-        t = at + self.cpu.memcpy_ns(len(data))
+        length = max(min(offset + nbytes, inode.size) - offset, 0)
+        miss_bytes = self.pagecache.read_misses(inode.ino, offset, length)
+        t = at + self.cpu.memcpy_ns(length)
         if miss_bytes:
             sequential = offset == inode.last_read_end
             t = self.device.read(miss_bytes, t, sequential=sequential)
             self.events.run_until(t)
-        inode.last_read_end = offset + len(data)
-        return data, t
+        inode.last_read_end = offset + length
+        return length, t
+
+    def read(self, handle: File, offset: int, nbytes: int, at: int) -> Tuple[bytes, int]:
+        """Read bytes: :meth:`charge_read` plus the data."""
+        length, t = self.charge_read(handle, offset, nbytes, at)
+        return handle._inode.data.read(offset, length), t
 
     def fsync(self, handle: File, at: int, reason: str = "fsync") -> int:
         """Blocking sync: write back *this file's* data, force a commit.

@@ -6,21 +6,17 @@ prefix compression and restart points; flat entries keep decode simple
 while preserving sizes to within a few percent, which is all the device
 model consumes.)
 
-Hot-path note — the decode bypass cache: compactions read back blocks
-the simulation itself just built, so :meth:`BlockBuilder.finish`
-registers its (encoded bytes -> decoded lists) pair in a bounded
-content-keyed cache and :meth:`Block.decode` consults it before parsing.
-The key is the full encoded payload, so a hit is correct by *content
-equality* regardless of which file the bytes came from; virtual-time
-charges (``block_decode_ns``, device reads) are made by the callers and
-are identical on hit and miss. Misses (WAL-replayed blocks, recovery
-reads, corrupt data) fall through to the real parser.
+Hot-path note: a :class:`BlockBuilder` never encodes. It keeps the
+decoded form — the parallel key/value lists readers want anyway — and
+the *size* the encoding will have, which is all the table builder and
+the device model need. :meth:`Block.encode` is the one place a block
+becomes bytes, and it runs only when somebody asks the file for them
+(see :mod:`repro.lsm.sstable`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.lsm.format import (
     CorruptionError,
@@ -30,26 +26,15 @@ from repro.lsm.format import (
     put_varint,
 )
 
-#: encoded block bytes -> decoded Block; bounded FIFO (recently built
-#: blocks are the ones compactions read back)
-_DECODE_CACHE: "OrderedDict[bytes, Block]" = OrderedDict()
-_DECODE_CACHE_CAPACITY = 8192
-
 
 class BlockBuilder:
-    """Accumulates sorted (key, value) entries into one block.
+    """Accumulates sorted (key, value) entries into one block."""
 
-    Entries are encoded as they arrive — ``add`` appends the varint
-    length prefixes alongside key and value, so ``finish`` is a single
-    ``join`` instead of a second pass over every entry.
-    """
-
-    __slots__ = ("_keys", "_values", "_parts", "_bytes")
+    __slots__ = ("_keys", "_values", "_bytes")
 
     def __init__(self) -> None:
         self._keys: List[bytes] = []
         self._values: List[bytes] = []
-        self._parts: List[bytes] = []
         self._bytes = 0
 
     @property
@@ -57,16 +42,9 @@ class BlockBuilder:
         return not self._keys
 
     @property
-    def _count(self) -> int:
-        return len(self._keys)
-
-    @property
     def size_estimate(self) -> int:
+        """Exact length of ``finish().encode()`` for the entries so far."""
         return self._bytes + 4
-
-    @property
-    def last_key(self) -> Optional[bytes]:
-        return self._keys[-1] if self._keys else None
 
     def add(self, key: bytes, value: bytes) -> int:
         """Append an entry; returns the new :attr:`size_estimate`.
@@ -77,40 +55,26 @@ class BlockBuilder:
         comparator before calling here. The returned size lets hot
         callers check their block-cut condition without a second call.
         """
-        klen_enc = put_varint(len(key))
-        vlen_enc = put_varint(len(value))
+        klen = len(key)
+        vlen = len(value)
         self._keys.append(key)
         self._values.append(value)
-        parts = self._parts
-        parts.append(klen_enc)
-        parts.append(vlen_enc)
-        parts.append(key)
-        parts.append(value)
-        size = (
-            self._bytes
-            + len(klen_enc) + len(vlen_enc) + len(key) + len(value)
-        )
+        # two length varints: one byte each, plus one per further 7 bits
+        size = self._bytes + 2 + klen + vlen
+        if klen >= 0x80:
+            size += (klen.bit_length() - 1) // 7
+        if vlen >= 0x80:
+            size += (vlen.bit_length() - 1) // 7
         self._bytes = size
         return size + 4
 
-    def finish(self) -> bytes:
-        keys = self._keys
-        self._parts.append(put_fixed32(len(keys)))
-        block = b"".join(self._parts)
-        # register the decode bypass: the simulation will read this very
-        # payload back during compaction
-        cache = _DECODE_CACHE
-        cache[block] = Block(keys, self._values)
-        if len(cache) > _DECODE_CACHE_CAPACITY:
-            cache.popitem(last=False)
-        self.reset()
-        return block
-
-    def reset(self) -> None:
+    def finish(self) -> "Block":
+        """Hand the entries over as a :class:`Block` and start afresh."""
+        block = Block(self._keys, self._values)
         self._keys = []
         self._values = []
-        self._parts = []
         self._bytes = 0
+        return block
 
 
 class Block:
@@ -125,11 +89,20 @@ class Block:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def encode(self) -> bytes:
+        """The block's on-disk bytes (the inverse of :meth:`decode`)."""
+        parts: List[bytes] = []
+        append = parts.append
+        for key, value in zip(self.keys, self.values):
+            append(put_varint(len(key)))
+            append(put_varint(len(value)))
+            append(key)
+            append(value)
+        append(put_fixed32(len(self.keys)))
+        return b"".join(parts)
+
     @classmethod
     def decode(cls, data: bytes) -> "Block":
-        cached = _DECODE_CACHE.get(data)
-        if cached is not None:
-            return cached
         data_len = len(data)
         if data_len < 4:
             raise CorruptionError("block shorter than its trailer")
@@ -171,8 +144,3 @@ class Block:
 
     def entries(self) -> List[Tuple[bytes, bytes]]:
         return list(zip(self.keys, self.values))
-
-
-def clear_decode_cache() -> None:
-    """Drop every cached (bytes -> Block) pair (tests, memory pressure)."""
-    _DECODE_CACHE.clear()

@@ -1109,6 +1109,7 @@ class DB:
                 count += 1
         t += count * self.cpu.merge_entry_ns
         size, t = builder.finish(t)
+        self.table_cache.adopt(number, builder.built)
         self.stats.bytes_flushed += size
         handle = builder.handle
         t = self._prepare_minor_sync(t)
@@ -1267,6 +1268,7 @@ class DB:
         at: int,
     ) -> Tuple[None, int]:
         size, t = builder.finish(at)
+        self.table_cache.adopt(builder.number, builder.built)
         self.stats.bytes_compacted_out += size
         outputs.append(
             FileMetaData(

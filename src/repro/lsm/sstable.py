@@ -11,6 +11,17 @@ Keys inside data blocks are *internal* keys (user key + sequence tag);
 index keys are the last internal key of each block. All sizes are real —
 the simulated device is charged for exactly the bytes a real LevelDB
 would move.
+
+Who may ask a table file for bytes, and when they get made: the builder
+appends a table to its inode as one *deferred* extent — its exact length
+is computed arithmetically, its bytes are produced by
+:meth:`BuiltTable.encode` only when somebody reads them — and hands the
+:class:`BuiltTable` (the same table, already decoded) to its store's
+:class:`~repro.lsm.tablecache.TableCache`. A reader that is given that
+record pays every charge a real read would (``Ext4.charge_read``) and
+takes the parsed parts from it; a reader that is not — recovery after a
+crash, a reopened store, ``repair_db``, orphan adoption, the crash-matrix
+validators — reads and parses real bytes, which is when they get made.
 """
 
 from __future__ import annotations
@@ -36,8 +47,58 @@ FOOTER_SIZE = 40
 TABLE_MAGIC = 0xDB4775248B80FB57
 
 
+class BuiltTable:
+    """A finished table as its builder left it: decoded parts and layout.
+
+    Both the file's deferred extent (through :meth:`encode`) and the
+    owning store's table cache hold one of these; neither copies it.
+    """
+
+    __slots__ = ("blocks", "index", "bloom", "bloom_offset", "index_size")
+
+    def __init__(
+        self,
+        blocks: List[Block],
+        index: Block,
+        bloom: BloomFilter,
+        bloom_offset: int,
+        index_size: int,
+    ) -> None:
+        self.blocks = blocks
+        self.index = index
+        self.bloom = bloom
+        self.bloom_offset = bloom_offset  # = total size of the data blocks
+        self.index_size = index_size
+
+    @property
+    def index_offset(self) -> int:
+        return self.bloom_offset + self.bloom.size_bytes
+
+    @property
+    def file_size(self) -> int:
+        return self.index_offset + self.index_size + FOOTER_SIZE
+
+    def encode(self) -> bytes:
+        """The table's on-disk bytes — the only table encoder."""
+        parts = [block.encode() for block in self.blocks]
+        parts.append(self.bloom.encode())
+        parts.append(self.index.encode())
+        parts.append(
+            put_fixed64(self.bloom_offset)
+            + put_fixed64(self.bloom.size_bytes)
+            + put_fixed64(self.index_offset)
+            + put_fixed64(self.index_size)
+            + put_fixed64(TABLE_MAGIC)
+        )
+        return b"".join(parts)
+
+
 class TableBuilder:
-    """Builds one SSTable; entries must arrive in internal-key order."""
+    """Builds one SSTable; entries must arrive in internal-key order.
+
+    After :meth:`finish`, :attr:`built` is the hand-off record for the
+    store's table cache.
+    """
 
     def __init__(
         self,
@@ -57,15 +118,15 @@ class TableBuilder:
         self._block = BlockBuilder()
         self._index = BlockBuilder()
         self._block_size_limit = options.block_size
-        self._pending: List[bytes] = []  # completed data blocks
+        self._blocks: List[Block] = []  # completed data blocks
         self._offset = 0
-        self._user_keys: List[bytes] = []
         self.num_entries = 0
         self.smallest: Optional[bytes] = None
         self.largest: Optional[bytes] = None
         self._last_user: Optional[bytes] = None
         self._last_tag = 0
         self.finished = False
+        self.built: Optional[BuiltTable] = None
 
     @property
     def current_size(self) -> int:
@@ -88,7 +149,6 @@ class TableBuilder:
         if self.smallest is None:
             self.smallest = internal_key
         self.largest = internal_key
-        self._user_keys.append(user)
         self.num_entries += 1
         if self._block.add(internal_key, value) >= self._block_size_limit:
             self._cut_block()
@@ -96,38 +156,41 @@ class TableBuilder:
     def _cut_block(self) -> None:
         if self._block.empty:
             return
-        last_key = self._block.last_key
-        data = self._block.finish()
-        self._pending.append(data)
+        size = self._block.size_estimate
+        block = self._block.finish()
+        self._blocks.append(block)
         self._index.add(
-            last_key, put_fixed64(self._offset) + put_fixed64(len(data))
+            block.keys[-1], put_fixed64(self._offset) + put_fixed64(size)
         )
-        self._offset += len(data)
+        self._offset += size
 
     def finish(self, at: int) -> Tuple[int, int]:
-        """Write everything out; returns (file_size, completion_time)."""
+        """Write everything out; returns (file_size, completion_time).
+
+        "Writes" a deferred extent: the layout is known from sizes alone
+        (varint lengths, the filter's bit count), so no block is encoded
+        and no key hashed here.
+        """
         if self.finished:
             raise RuntimeError("builder already finished")
         self.finished = True
         self._cut_block()
-        bloom = BloomFilter.build(self._user_keys, self.options.bloom_bits_per_key)
-        bloom_bytes = bloom.encode()
-        bloom_offset = self._offset
-        index_bytes = self._index.finish()
-        index_offset = bloom_offset + len(bloom_bytes)
-        footer = (
-            put_fixed64(bloom_offset)
-            + put_fixed64(len(bloom_bytes))
-            + put_fixed64(index_offset)
-            + put_fixed64(len(index_bytes))
-            + put_fixed64(TABLE_MAGIC)
+        blocks = self._blocks
+        bloom = BloomFilter.deferred(
+            self.num_entries,
+            self.options.bloom_bits_per_key,
+            lambda: (key[:-8] for block in blocks for key in block.keys),
         )
-        contents = b"".join(self._pending) + bloom_bytes + index_bytes + footer
+        index_size = self._index.size_estimate
+        built = self.built = BuiltTable(
+            blocks, self._index.finish(), bloom, self._offset, index_size
+        )
+        size = built.file_size
         t = max(at, self._time)
-        t = self.handle.append(contents, at=t)
+        t = self.handle.append_deferred(size, built.encode, at=t)
         # checksumming cost over the table
-        t += self.fs.cpu.crc_per_kib_ns * (len(contents) // 1024 + 1)
-        return len(contents), t
+        t += self.fs.cpu.crc_per_kib_ns * (size // 1024 + 1)
+        return size, t
 
     def abandon(self, at: int) -> int:
         """Drop a partially built table (failed compaction)."""
@@ -167,6 +230,9 @@ class Table:
     ``block_cache`` (optional, shared across tables) bounds how many
     decoded blocks stay resident — LevelDB's 8 MB Cache; without one the
     table falls back to a private unbounded dict (unit-test convenience).
+
+    ``blocks`` is a hand-off record's decoded data blocks: with it, a
+    block "read" charges the read and takes the block from the list.
     """
 
     def __init__(
@@ -178,6 +244,7 @@ class Table:
         file_size: int,
         block_cache=None,
         number: int = -1,
+        blocks: Optional[List[Block]] = None,
     ) -> None:
         self.fs = fs
         self.handle = handle
@@ -185,6 +252,7 @@ class Table:
         self.bloom = bloom
         self.file_size = file_size
         self.number = number
+        self._blocks = blocks
         self.shared_cache = block_cache
         self._block_cache: Dict[int, Block] = {}
         # (offset, size) per data block, parsed once instead of two
@@ -195,27 +263,46 @@ class Table:
 
     @classmethod
     def open(
-        cls, fs: Ext4, path: str, at: int, block_cache=None, number: int = -1
+        cls,
+        fs: Ext4,
+        path: str,
+        at: int,
+        block_cache=None,
+        number: int = -1,
+        built: Optional[BuiltTable] = None,
     ) -> Tuple["Table", int]:
+        """Open ``path``; with ``built`` (the builder's hand-off record
+        for this very file) the three reads are charged, not parsed."""
         handle, t = fs.open(path, at=at)
         size = handle.size
         if size < FOOTER_SIZE:
             raise CorruptionError(f"{path}: too small for a table footer")
-        footer, t = handle.read(size - FOOTER_SIZE, FOOTER_SIZE, at=t)
-        if get_fixed64(footer, 32) != TABLE_MAGIC:
-            raise CorruptionError(f"{path}: bad table magic")
-        bloom_offset = get_fixed64(footer, 0)
-        bloom_size = get_fixed64(footer, 8)
-        index_offset = get_fixed64(footer, 16)
-        index_size = get_fixed64(footer, 24)
-        bloom_bytes, t = handle.read(bloom_offset, bloom_size, at=t)
-        index_bytes, t = handle.read(index_offset, index_size, at=t)
+        if built is not None and built.file_size == size:
+            _, t = handle.charge_read(size - FOOTER_SIZE, FOOTER_SIZE, at=t)
+            _, t = handle.charge_read(
+                built.bloom_offset, built.bloom.size_bytes, at=t
+            )
+            _, t = handle.charge_read(
+                built.index_offset, built.index_size, at=t
+            )
+            index, bloom, blocks = built.index, built.bloom, built.blocks
+        else:
+            footer, t = handle.read(size - FOOTER_SIZE, FOOTER_SIZE, at=t)
+            if get_fixed64(footer, 32) != TABLE_MAGIC:
+                raise CorruptionError(f"{path}: bad table magic")
+            bloom_offset = get_fixed64(footer, 0)
+            bloom_size = get_fixed64(footer, 8)
+            index_offset = get_fixed64(footer, 16)
+            index_size = get_fixed64(footer, 24)
+            bloom_bytes, t = handle.read(bloom_offset, bloom_size, at=t)
+            index_bytes, t = handle.read(index_offset, index_size, at=t)
+            index = Block.decode(index_bytes)
+            bloom = BloomFilter.decode(bloom_bytes)
+            blocks = None
         t += fs.cpu.block_decode_ns
-        index = Block.decode(index_bytes)
-        bloom = BloomFilter.decode(bloom_bytes)
         return cls(
             fs, handle, index, bloom, size,
-            block_cache=block_cache, number=number,
+            block_cache=block_cache, number=number, blocks=blocks,
         ), t
 
     def _read_block(self, block_pos: int, at: int) -> Tuple[Block, int]:
@@ -226,9 +313,13 @@ class Table:
         if cached is not None:
             return cached, at
         offset, size = self._spans[block_pos]
-        raw, t = self.handle.read(offset, size, at=at)
+        if self._blocks is not None:
+            _, t = self.handle.charge_read(offset, size, at=at)
+            block = self._blocks[block_pos]
+        else:
+            raw, t = self.handle.read(offset, size, at=at)
+            block = Block.decode(raw)
         t += self.fs.cpu.block_decode_ns
-        block = Block.decode(raw)
         if self.shared_cache is not None:
             self.shared_cache.put(self.number, block_pos, block, size)
         else:

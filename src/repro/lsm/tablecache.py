@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.fs.ext4 import Ext4
 from repro.lsm.blockcache import BlockCache
 from repro.lsm.filenames import table_file_name
-from repro.lsm.sstable import Table
+from repro.lsm.sstable import BuiltTable, Table
 
 
 class TableCache:
@@ -16,6 +16,14 @@ class TableCache:
 
     All tables opened through one cache share one bounded
     :class:`BlockCache` (LevelDB's options.block_cache).
+
+    The cache also keeps the store's *hand-off records*: the
+    :class:`BuiltTable` of every table this store built itself, so that
+    opening one charges the reads without parsing bytes the same process
+    just laid out. A record belongs to this cache alone (file numbers
+    mean nothing across stores), is dropped by :meth:`evict` with the
+    file, and dies with the store — a reopened or recovered ``DB`` has
+    none and parses real bytes.
     """
 
     def __init__(
@@ -32,7 +40,12 @@ class TableCache:
         self.capacity = capacity
         self.block_cache = BlockCache(block_cache_bytes)
         self._tables: "OrderedDict[int, Table]" = OrderedDict()
+        self._built: Dict[int, BuiltTable] = {}
         self.opens = 0
+
+    def adopt(self, number: int, built: BuiltTable) -> None:
+        """Take the hand-off record of table ``number`` from its builder."""
+        self._built[number] = built
 
     def get_table(self, number: int, at: int) -> Tuple[Table, int]:
         table = self._tables.get(number)
@@ -45,6 +58,7 @@ class TableCache:
             at,
             block_cache=self.block_cache,
             number=number,
+            built=self._built.get(number),
         )
         self.opens += 1
         self._tables[number] = table
@@ -54,6 +68,7 @@ class TableCache:
 
     def evict(self, number: int) -> None:
         self._tables.pop(number, None)
+        self._built.pop(number, None)
         self.block_cache.evict_table(number)
 
     def clear(self) -> None:

@@ -136,13 +136,28 @@ class VersionEdit:
 
 
 class Version:
-    """Immutable per-level file lists. Levels >= 1 are sorted, disjoint."""
+    """Immutable per-level file lists. Levels >= 1 are sorted, disjoint.
+
+    A version is filled in once (``VersionSet._apply``, or a test
+    assigning ``files``) and never changed after it is installed, so what
+    every ``get`` derives from the file lists — per-level byte totals,
+    per-level arrays of largest user keys — is computed on first use and
+    kept. Only ``FileMetaData.shadow`` flips later; nothing cached here
+    depends on it.
+    """
 
     def __init__(self, num_levels: int) -> None:
         self.files: List[List[FileMetaData]] = [[] for _ in range(num_levels)]
+        self._level_bytes: Optional[List[int]] = None
+        self._largest_users: Optional[List[List[bytes]]] = None
 
     def level_bytes(self, level: int) -> int:
-        return sum(f.file_size for f in self.files[level])
+        totals = self._level_bytes
+        if totals is None:
+            totals = self._level_bytes = [
+                sum(f.file_size for f in files) for files in self.files
+            ]
+        return totals[level]
 
     def num_files(self, level: int) -> int:
         return len(self.files[level])
@@ -221,13 +236,16 @@ class Version:
         ]
         level0.sort(key=lambda f: f.number, reverse=True)
         candidates.extend((0, f) for f in level0)
+        largest_users = self._largest_users
+        if largest_users is None:
+            largest_users = self._largest_users = [
+                [f.largest[:-8] for f in files] for files in self.files
+            ]
         for level in range(1, len(self.files)):
             files = self.files[level]
             if not files:
                 continue
-            pos = bisect.bisect_left(
-                [f.largest[:-8] for f in files], user_key
-            )
+            pos = bisect.bisect_left(largest_users[level], user_key)
             if pos < len(files):
                 f = files[pos]
                 if not f.shadow and f.smallest[:-8] <= user_key:

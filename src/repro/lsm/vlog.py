@@ -20,10 +20,10 @@ NobLSM way). Segment reclamation is commit-gated exactly like shadow
 retirement: a segment is unlinked only once every table that dropped or
 relocated references into it has passed ``is_committed``.
 
-Pointer decode goes through a content-keyed bypass cache mirroring the
-block-decode cache in :mod:`repro.lsm.block`: hits are correct by
-content equality, and virtual-time charges are identical on hit and miss
-(decoding is host-side CPU the simulation never bills for).
+Pointer decode goes through a content-keyed memo (encoded pointer bytes
+-> decoded triple): hits are correct by content equality, and
+virtual-time charges are identical on hit and miss (decoding is
+host-side CPU the simulation never bills for).
 """
 
 from __future__ import annotations

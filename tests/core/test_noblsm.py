@@ -130,6 +130,32 @@ def test_reclaim_deletes_shadows_after_commit(db, stack):
     assert db.tracker.reclaimable() == []
 
 
+def test_reclaim_reentered_from_the_event_queue_is_a_no_op(stack):
+    """``reclaim -> fs.unlink -> run_until -> (timer) -> reclaim``: the
+    inner call used to unlink the group the outer call was half-way
+    through, and the outer one then died with ``FileNotFound``."""
+    db = NobLSM(
+        stack, options=small_options(reclaim_interval_ns=seconds(3600))
+    )
+    t = fill(db, 1200)
+    t = max(db.wait_for_background(t), stack.settle())
+    # Resolve every group up front: the pass below then polls nothing,
+    # so its first call into the file system is an unlink — the one
+    # whose tick fires the event scheduled inside the window.
+    db.tracker.resolve(lambda ino: stack.syscalls.is_committed(ino, t)[0])
+    shadows = db.shadow_count
+    assert shadows and db.tracker.reclaimable()
+    inner = []
+    stack.events.schedule(
+        t + 1, lambda when: inner.append((when, db.reclaim(when)))
+    )
+    db.reclaim(t + 2)
+    assert inner == [(t + 1, t + 1)]  # it ran, and returned at once
+    assert db.shadow_count == 0
+    assert db.shadows_deleted == shadows
+    assert db.tracker.reclaimable() == []
+
+
 def test_reclaim_runs_periodically(db):
     t = fill(db, 1200)
     db.stack.events.run_until(t + seconds(1))

@@ -201,3 +201,103 @@ def test_settle_reaches_quiescence(stack):
     assert stack.pagecache.dirty_bytes == 0
     inode = stack.fs._get_inode("f")
     assert inode.committed_size == inode.size
+
+
+# ----------------------------------------------------------------------
+# deferred extents: bytes made when somebody reads them
+# ----------------------------------------------------------------------
+
+class CountingPayload:
+    """A deferred extent's ``make``: returns ``data``, counts the calls."""
+
+    def __init__(self, data):
+        self.data = data
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.data
+
+
+def test_deferred_append_is_charged_like_append():
+    payload = bytes(range(256)) * 300
+    eager, deferred = StorageStack(), StorageStack()
+    f, t = eager.fs.create("f", at=0)
+    g, u = deferred.fs.create("f", at=0)
+    assert f.append(payload, at=t) == g.append_deferred(
+        len(payload), CountingPayload(payload), at=u
+    )
+    assert eager.pagecache.snapshot() == deferred.pagecache.snapshot()
+    assert f.fsync(at=t) == g.fsync(at=u)
+    assert eager.ssd.stats.snapshot() == deferred.ssd.stats.snapshot()
+
+
+def test_sizes_and_durability_never_make_the_bytes(stack):
+    make = CountingPayload(b"x" * 5000)
+    f, t = stack.fs.create("f", at=0)
+    t = f.append_deferred(5000, make, at=t)
+    assert f.size == stack.fs.stat_size("f") == 5000
+    t = f.fsync(at=t)
+    assert stack.fs.durable_stat("f") == 5000
+    stack.fs.charge_read(f, 100, 200, at=t)
+    stack.events.run_until(t + seconds(6))
+    stack.crash()  # survives whole: nothing to cut
+    assert stack.fs.stat_size("f") == 5000
+    assert make.calls == 0
+
+
+def test_read_spanning_extents_makes_each_deferred_once(stack):
+    first, second = CountingPayload(b"B" * 10), CountingPayload(b"D" * 10)
+    f, t = stack.fs.create("f", at=0)
+    t = f.append(b"A" * 10, at=t)
+    t = f.append_deferred(10, first, at=t)
+    t = f.append_zeros(10, at=t)
+    t = f.append_deferred(10, second, at=t)
+    data, t = f.read(5, 20, at=t)  # tail of A, all of B, head of zeros
+    assert data == b"A" * 5 + b"B" * 10 + b"\x00" * 5
+    assert (first.calls, second.calls) == (1, 0)
+    data, t = f.read(0, 100, at=t)
+    assert data == b"A" * 10 + b"B" * 10 + b"\x00" * 10 + b"D" * 10
+    f.read(12, 25, at=t)
+    assert (first.calls, second.calls) == (1, 1)
+
+
+def test_deferred_extent_of_the_wrong_length_is_refused(stack):
+    f, t = stack.fs.create("f", at=0)
+    t = f.append_deferred(8, lambda: b"short", at=t)
+    with pytest.raises(ValueError):
+        f.read(0, 8, at=t)
+
+
+def test_crash_inside_a_deferred_extent_keeps_its_prefix(stack):
+    """Power fails with the file's committed size in the middle of a
+    deferred extent: the survivor is the prefix of the bytes that were
+    'written', made at the crash, once."""
+    payload = bytes(range(200))
+    make = CountingPayload(payload)
+    f, t = stack.fs.create("table", at=0)
+    t = f.append(b"head", at=t)
+    t = f.append_deferred(len(payload), make, at=t)
+    _, t = stack.fs.writeback_inode(f.ino, t, max_bytes=4 + 50)
+    other, t = stack.fs.create("other", at=t)
+    t = other.append(b"x", at=t)
+    t = other.fsync(at=t)  # commits the running txn: "table" at 54 bytes
+    assert stack.fs.durable_stat("table") == 54
+    assert make.calls == 0
+    stack.crash()
+    assert make.calls == 1
+    g, t = stack.fs.open("table", at=stack.now)
+    assert g.size == 54
+    assert g.read(0, 300, at=t)[0] == b"head" + payload[:50]
+    assert make.calls == 1
+
+
+def test_crash_before_a_deferred_extent_drops_it_unmade(stack):
+    make = CountingPayload(b"y" * 100)
+    f, t = stack.fs.create("f", at=0)
+    t = f.append(b"early", at=t)
+    t = f.fsync(at=t)
+    f.append_deferred(100, make, at=max(t, stack.now))
+    stack.crash()
+    assert stack.fs.stat_size("f") == 5
+    assert make.calls == 0

@@ -91,6 +91,31 @@ def test_table_cache_explicit_evict():
     assert cache.opens == 2
 
 
+def test_table_cache_hand_off_record_lifetime():
+    """An adopted record serves opens until ``evict``; a cache that never
+    adopted one (a reopened store's) parses bytes."""
+    stack = StorageStack()
+    path = table_file_name("db", 1)
+    builder = TableBuilder(stack.fs, path, Options(), at=0, number=1)
+    builder.add(make_internal_key(b"key", 1, TYPE_VALUE), b"v")
+    builder.finish(at=0)
+    payloads = stack.fs._get_inode(path).data._payloads
+    cache = TableCache(stack.fs, "db")
+    cache.adopt(1, builder.built)
+    table, t = cache.get_table(1, at=0)
+    assert table.index is builder.built.index
+    assert table.get(b"key", at=t)[0] == (True, b"v")
+    assert not isinstance(payloads[0], bytes)  # nobody asked for bytes
+    cache.evict(1)
+    table, t = cache.get_table(1, at=t)  # record gone: real parse
+    assert table.index is not builder.built.index
+    assert table.get(b"key", at=t)[0] == (True, b"v")
+    assert isinstance(payloads[0], bytes)
+    reopened = TableCache(stack.fs, "db")
+    table, t = reopened.get_table(1, at=t)
+    assert table.index is not builder.built.index
+
+
 def test_table_cache_rejects_bad_capacity():
     stack = StorageStack()
     with pytest.raises(ValueError):

@@ -188,3 +188,91 @@ def test_block_cache_avoids_rereads(stack):
     reads_before = stack.ssd.stats.read_ios
     _, t2 = table.get(b"key00003", at=t1)
     assert stack.ssd.stats.read_ios == reads_before
+
+
+# ----------------------------------------------------------------------
+# deferred bytes + the builder's hand-off record
+# ----------------------------------------------------------------------
+
+def build_with_record(stack, entries, path="table.ldb", number=7):
+    builder = TableBuilder(
+        stack.fs, path, small_options(), at=0, number=number
+    )
+    for internal_key, value in entries:
+        builder.add(internal_key, value)
+    _, t = builder.finish(at=0)
+    return builder, t
+
+
+def bytes_were_made(stack, path):
+    payloads = stack.fs._get_inode(path).data._payloads
+    return all(isinstance(payload, bytes) for payload in payloads)
+
+
+def test_hand_off_open_charges_like_a_parse_and_makes_no_bytes():
+    """Same table, two stacks: one reader holds the builder's record,
+    the other parses the file. Every time and device counter agrees; only
+    the parsing reader caused the bytes to exist."""
+    entries = sample_entries(300)
+    handed, parsed = StorageStack(), StorageStack()
+    builder, t = build_with_record(handed, entries)
+    _, u = build_with_record(parsed, entries)
+    assert t == u
+    for stack in (handed, parsed):
+        stack.pagecache.drop_all()  # cold: reads reach the device
+    table_a, t = Table.open(
+        handed.fs, "table.ldb", at=t, number=7, built=builder.built
+    )
+    table_b, u = Table.open(parsed.fs, "table.ldb", at=u, number=7)
+    assert t == u
+    for key in (b"key00000", b"key00123", b"key00299", b"absent"):
+        got_a, t = table_a.get(key, at=t)
+        got_b, u = table_b.get(key, at=u)
+        assert got_a == got_b and t == u
+    all_a, t = table_a.all_entries(at=t)
+    all_b, u = table_b.all_entries(at=u)
+    assert all_a == all_b == entries and t == u
+    assert handed.ssd.stats.snapshot() == parsed.ssd.stats.snapshot()
+    assert handed.pagecache.snapshot() == parsed.pagecache.snapshot()
+    assert not bytes_were_made(handed, "table.ldb")
+    assert bytes_were_made(parsed, "table.ldb")
+
+
+def test_record_for_another_file_size_is_ignored(stack):
+    """A record is only trusted for the file it describes."""
+    builder, _ = build_with_record(stack, sample_entries(50), "a.ldb")
+    entries = sample_entries(80, seq_base=500)
+    build_with_record(stack, entries, "b.ldb")
+    table, t = Table.open(stack.fs, "b.ldb", at=0, built=builder.built)
+    assert table.all_entries(at=t)[0] == entries
+
+
+def test_committed_deferred_table_parses_identically_after_crash(stack):
+    entries = sample_entries(300)
+    builder, t = build_with_record(stack, entries)
+    before, t = Table.open(
+        stack.fs, "table.ldb", at=t, built=builder.built
+    )
+    expected, t = before.all_entries(at=t)
+    t = builder.handle.fdatasync(at=t, reason="test")
+    assert not bytes_were_made(stack, "table.ldb")
+    stack.crash()
+    table, t = Table.open(stack.fs, "table.ldb", at=stack.now)
+    assert table.all_entries(at=t)[0] == expected == entries
+    assert table.get(b"key00042", at=t)[0] == (True, b"value-42" * 3)
+    assert table.bloom.may_contain(b"key00042")
+
+
+def test_half_committed_deferred_table_is_corrupt_after_crash(stack):
+    """The journal recorded the table at a size inside its deferred
+    extent: after the crash it is a torn prefix and must not open."""
+    builder, t = build_with_record(stack, sample_entries(300))
+    size = builder.handle.size
+    _, t = stack.fs.writeback_inode(builder.handle.ino, t, max_bytes=size // 2)
+    other, t = stack.fs.create("other", at=t)
+    t = other.append(b"x", at=t)
+    other.fsync(at=t)  # commits the running txn with half the table
+    stack.crash()
+    assert stack.fs.stat_size("table.ldb") == size // 2
+    with pytest.raises(CorruptionError):
+        Table.open(stack.fs, "table.ldb", at=stack.now)

@@ -104,7 +104,7 @@ def test_block_roundtrip_sorted_entries(mapping):
     entries = sorted(mapping.items())
     for key, value in entries:
         builder.add(key, value)
-    block = Block.decode(builder.finish())
+    block = Block.decode(builder.finish().encode())
     assert block.entries() == entries
 
 

@@ -9,6 +9,7 @@ operations = st.lists(
     st.one_of(
         st.tuples(st.just("append"), st.binary(max_size=64)),
         st.tuples(st.just("zeros"), st.integers(min_value=0, max_value=128)),
+        st.tuples(st.just("deferred"), st.binary(max_size=64)),
         st.tuples(st.just("truncate"), st.integers(min_value=0, max_value=400)),
     ),
     max_size=30,
@@ -19,9 +20,20 @@ operations = st.lists(
 def test_extent_list_matches_bytearray(ops, read_offset, read_len):
     extents = _ExtentList()
     model = bytearray()
-    for op in ops:
+    made = []  # one entry per deferred payload actually produced
+
+    def deferred(data, tag):
+        def make():
+            made.append(tag)
+            return data
+        return make
+
+    for tag, op in enumerate(ops):
         if op[0] == "append":
             extents.append(op[1])
+            model.extend(op[1])
+        elif op[0] == "deferred":
+            extents.append_deferred(len(op[1]), deferred(op[1], tag))
             model.extend(op[1])
         elif op[0] == "zeros":
             extents.append_zeros(op[1])
@@ -34,6 +46,8 @@ def test_extent_list_matches_bytearray(ops, read_offset, read_len):
     assert extents.read(read_offset, read_len) == bytes(
         model[read_offset : read_offset + read_len]
     )
+    assert extents.read(0, extents.size) == bytes(model)
+    assert len(made) == len(set(made)), "a deferred extent was made twice"
 
 
 @given(st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=20))

@@ -239,3 +239,55 @@ def test_cluster_without_telemetry_uses_null_front_door():
     assert cluster.obs is NULL_REGISTRY
     assert cluster._c_offered is NULL_COUNTER
     assert cluster._c_offered.value == 0
+
+
+def test_hand_off_records_never_cross_shards():
+    """Every shard numbers its files (and its stack its inodes) from the
+    same start, so ``000007.ldb`` exists in each of them with different
+    contents. A shard's table cache must hold records for its own tables
+    only: each record has to describe the very bytes of that shard's
+    file, and reads through the cluster have to return what was put."""
+    from repro.lsm.filenames import table_file_name
+    from repro.lsm.sstable import Table
+    from repro.serve.cluster import ServeCluster
+    from repro.serve.loadgen import OP_PUT, open_loop
+
+    cluster = ServeCluster(TINY.cluster_config())
+    model = {}
+    last = 0
+    for request in open_loop(TINY.load_config()):
+        done = cluster.serve(request)
+        if done is not None and request.op == OP_PUT:
+            model[(request.tenant, request.key)] = request.value
+            last = max(last, done)
+    records = 0
+    numbers = []
+    for shard in cluster.shards:
+        db, fs = shard.db, shard.stack.fs
+        built = db.table_cache._built
+        numbers.append(set(built))
+        for number, record in built.items():
+            path = table_file_name(db.dbname, number)
+            assert fs.stat_size(path) == record.file_size
+            from_bytes, _ = Table.open(fs, path, at=shard.stack.now)
+            entries, _ = from_bytes.all_entries(at=shard.stack.now)
+            assert entries == [
+                pair for block in record.blocks for pair in block.entries()
+            ]
+            records += 1
+    assert records and len(cluster.shards) >= 2
+    # the busier shard has issued every number the other one's live
+    # tables carry: a record keyed by number alone would have collided
+    issued = [
+        range(2, shard.db.versions.next_file_number)
+        for shard in cluster.shards
+    ]
+    assert any(n in issued[1] for n in numbers[0]) or any(
+        n in issued[0] for n in numbers[1]
+    )
+    for (tenant, key), value in model.items():
+        shard = cluster.shards[cluster.router.shard_of(tenant, key)]
+        got, _ = shard.db.get(
+            cluster.router.storage_key(tenant, key), at=max(last, shard.stack.now)
+        )
+        assert got == value
