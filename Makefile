@@ -7,36 +7,8 @@ PYTHON ?= python
 # PYTHONPATH out by hand; tests/test_makefile_pythonpath.py enforces it.
 RUN = PYTHONPATH=src $(PYTHON)
 
-.PHONY: install test test-fast bench bench-full figures refresh-baselines \
-	perf-gate profile speed speed-gate refresh-speed-baseline \
-	soak soak-gate refresh-soak-baseline \
-	serve serve-gate refresh-serve-baseline \
-	amplification amplification-gate refresh-amplification-baseline \
-	slo slo-gate refresh-slo-baseline \
-	artifacts clean
-
-# CI-sized soak: short enough for a gate job, long enough for the tree
-# to reach the bursty-compaction regime. refresh-soak-baseline MUST use
-# the same parameters or the gate compares different experiments.
-SOAK_GATE_ARGS = --rate 40000 --duration 0.3 --window-ms 25
-
-# CI-sized serve run: hot enough that the untuned cluster's hot shard
-# sheds and queues, short enough for a gate job. These match the serve
-# CLI defaults; refresh-serve-baseline MUST use the same parameters or
-# the gate compares different experiments.
-SERVE_GATE_ARGS = --rate 90000 --duration 0.3 --window-ms 25
-
-# CI-sized flight-recorder run: the serve pair with continuous
-# telemetry and SLO burn-rate alerting; the untuned cluster's shed
-# burst must fire a fast-burn alert while the fair twin stays silent.
-# refresh-slo-baseline MUST use the same parameters or the gate
-# compares different experiments.
-SLO_GATE_ARGS = --rate 90000 --duration 0.3 --window-ms 25 --interval-ms 5
-
-# CI-sized amplification sweep: noblsm vs noblsm-kv at 1 KiB and 4 KiB
-# values (the amplification CLI defaults). refresh-amplification-baseline
-# MUST use the same parameters or the gate compares different experiments.
-AMP_GATE_ARGS =
+.PHONY: install test test-fast bench bench-full figures perf-gate \
+	refresh-baselines profile artifacts clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -56,136 +28,34 @@ bench-full:
 figures:
 	$(RUN) -m repro.bench all
 
-# Re-record the perf-gate baselines after a deliberate behaviour change.
-# The simulation is deterministic, so these only move when the code does;
-# commit the refreshed JSONs together with the change that explains them.
-refresh-baselines:
-	$(RUN) -m repro.bench.cli fillrandom --observe --json benchmarks/baselines
-	$(RUN) -m repro.bench.cli parallelism --json benchmarks/baselines
+# The regression gates. Each gate's CI size, invariants, compare metrics
+# and baseline files are one record in src/repro/bench/targets.py.
+# `make <target>-gate` runs it the way CI does into results/<target>-gate/
+# and fails on any problem; `make refresh-<target>-baseline` re-records
+# its baseline after a deliberate behaviour change (the simulation is
+# deterministic, so commit the refreshed files with the change that
+# explains them). perf-gate and refresh-baselines do every gate.
+%-gate:
+	$(RUN) -m repro.bench gate $*
 
-# Run the same comparison CI runs: current numbers vs recorded baselines.
+refresh-%-baseline:
+	$(RUN) -m repro.bench refresh $*
+
 perf-gate:
-	rm -rf results/perf-gate && mkdir -p results/perf-gate
-	$(RUN) -m repro.bench.cli fillrandom --observe \
-		--trace-out results/perf-gate/fillrandom-trace.json \
-		--json results/perf-gate
-	$(RUN) -m repro.bench.cli parallelism --json results/perf-gate
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/fillrandom.json results/perf-gate/fillrandom.json
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/parallelism.json results/perf-gate/parallelism.json
+	$(RUN) -m repro.bench gate
+
+refresh-baselines:
+	$(RUN) -m repro.bench refresh
 
 # Profile the fillrandom hot path: writes a cProfile dump and prints
 # the top frames by cumulative time. Start here before optimising.
 profile:
 	mkdir -p results/profile
 	$(RUN) -m cProfile -o results/profile/fillrandom.pstats \
-		-m repro.bench.cli fillrandom --scale 2000
+		-m repro.bench fillrandom
 	$(RUN) -c "import pstats; \
 		pstats.Stats('results/profile/fillrandom.pstats') \
 		.sort_stats('cumulative').print_stats(30)"
-
-# Wall-clock simulator throughput (ops/sec real time, median of repeats).
-speed:
-	$(RUN) -m repro.bench.cli speed
-
-# CI's speed gate: current wall-clock throughput vs the recorded
-# baseline, with the generous higher-is-better threshold.
-speed-gate:
-	rm -rf results/speed-gate && mkdir -p results/speed-gate
-	$(RUN) -m repro.bench.cli speed --json results/speed-gate
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/speed.json results/speed-gate/speed.json
-
-# Re-record the wall-clock baseline on the machine that runs the gate.
-refresh-speed-baseline:
-	$(RUN) -m repro.bench.cli speed --json benchmarks/baselines
-
-# Long-horizon stability soak: untuned vs rate-limited + dynamic
-# slowdown, windowed p50/p99/p99.9 + stall timeline (repro.soak/1).
-soak:
-	mkdir -p results
-	$(RUN) -m repro.bench.cli soak --json results
-
-# CI's stability gate: the CI-sized soak pair vs the recorded baseline.
-# Both rows (soak, soak-tuned) are gated, so a change that destroys the
-# tuned variant's stability fails even if the untuned row is unchanged.
-soak-gate:
-	rm -rf results/soak-gate && mkdir -p results/soak-gate
-	$(RUN) -m repro.bench.cli soak $(SOAK_GATE_ARGS) \
-		--json results/soak-gate
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/soak.json results/soak-gate/soak.json
-
-# Re-record the stability baseline after a deliberate behaviour change.
-refresh-soak-baseline:
-	$(RUN) -m repro.bench.cli soak $(SOAK_GATE_ARGS) \
-		--json benchmarks/baselines
-
-# Multi-tenant serving run: sharded cluster, untuned vs fair-scheduled,
-# per-tenant tails + fairness + admission counts (repro.serve/1).
-serve:
-	mkdir -p results
-	$(RUN) -m repro.bench.cli serve --json results
-
-# CI's serving gate: the CI-sized serve pair vs the recorded baseline.
-# Both rows (serve, serve-fair) are gated, so a change that destroys
-# the fair variant's isolation fails even if the untuned row holds.
-serve-gate:
-	rm -rf results/serve-gate && mkdir -p results/serve-gate
-	$(RUN) -m repro.bench.cli serve $(SERVE_GATE_ARGS) \
-		--json results/serve-gate
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/serve.json results/serve-gate/serve.json
-
-# Re-record the serving baseline after a deliberate behaviour change.
-refresh-serve-baseline:
-	$(RUN) -m repro.bench.cli serve $(SERVE_GATE_ARGS) \
-		--json benchmarks/baselines
-
-# Write/read/space amplification: noblsm vs noblsm-kv (repro.amplification/1).
-amplification:
-	mkdir -p results
-	$(RUN) -m repro.bench.cli amplification --json results
-
-# CI's amplification gate: the kv-separation claim (kv writes strictly
-# fewer bytes per user byte at 4 KiB values) plus both stores' rows
-# gated against the recorded baseline.
-amplification-gate:
-	rm -rf results/amplification-gate && mkdir -p results/amplification-gate
-	$(RUN) -m repro.bench.cli amplification $(AMP_GATE_ARGS) \
-		--json results/amplification-gate
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/amplification.json \
-		results/amplification-gate/amplification.json
-
-# Re-record the amplification baseline after a deliberate behaviour change.
-refresh-amplification-baseline:
-	$(RUN) -m repro.bench.cli amplification $(AMP_GATE_ARGS) \
-		--json benchmarks/baselines
-
-# Flight recorder: serve pair with continuous telemetry, SLO burn-rate
-# alerts, and the ascii dashboard (repro.slo/1 + repro.timeseries/1).
-slo:
-	mkdir -p results
-	$(RUN) -m repro.bench.cli slo --json results
-
-# CI's alerting gate, two assertions in one run: --gate checks alert
-# *discrimination* (untuned fires a fast-burn alert, tuned fires none),
-# then compare checks the alert counts/burn levels against the recorded
-# baseline so alerts cannot silently appear or vanish.
-slo-gate:
-	rm -rf results/slo-gate && mkdir -p results/slo-gate
-	$(RUN) -m repro.bench.cli slo $(SLO_GATE_ARGS) --gate \
-		--json results/slo-gate
-	$(RUN) -m repro.bench.cli compare \
-		benchmarks/baselines/slo.json results/slo-gate/slo.json \
-		--json results/slo-gate
-
-# Re-record the alerting baseline after a deliberate behaviour change.
-refresh-slo-baseline:
-	$(RUN) -m repro.bench.cli slo $(SLO_GATE_ARGS) --gate \
-		--json benchmarks/baselines
 
 artifacts: test bench
 	$(RUN) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -37,7 +37,7 @@ def test_table1_sync_counts(benchmark, record_result):
     data = benchmark.pedantic(table1, kwargs={"scale": scale}, rounds=1, iterations=1)
     record_result(
         "table1_syncs",
-        render_table1(scale),
+        render_table1(data),
         payload={
             "schema": "repro.figure/1",
             "figure": "table1",

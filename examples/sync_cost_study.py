@@ -8,7 +8,7 @@
 Run:  python examples/sync_cost_study.py
 """
 
-from repro.bench.figures import fig2b, render_fig2a, render_fig2b
+from repro.bench.figures import fig2a, fig2b, render_fig2a, render_fig2b
 
 PAPER_FIG2A = {
     ("async", 4): 0.83,
@@ -21,13 +21,13 @@ PAPER_FIG2A = {
 
 
 def main() -> None:
-    print(render_fig2a())
+    print(render_fig2a(fig2a()))
     print("\npaper measured:", PAPER_FIG2A)
     print("=> Async -> Direct ~9.5x, Direct -> Sync +~37%, overall ~13x\n")
 
     scale = 1000.0
-    print(render_fig2b(scale))
     data = fig2b(scale)
+    print(render_fig2b(data))
     for workload in ("fillrand", "overwrt"):
         small = 1 - data[f"{workload}-2MB-nosync"] / data[f"{workload}-2MB-sync"]
         large = 1 - data[f"{workload}-64MB-nosync"] / data[f"{workload}-64MB-sync"]

@@ -21,7 +21,7 @@ instead of being rewritten at every level the LSM pushes them through.
 
 :func:`run_amplification_sweep` compares noblsm against noblsm-kv over a
 large-value fillrandom grid and emits a ``repro.amplification/1``
-document, gated in CI by ``python -m repro.bench compare``.
+document, gated by ``python -m repro.bench gate amplification``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import ScaledConfig
+from repro.bench.report import results_document
 from repro.bench.workloads import ValueGenerator, fillrandom_indices, make_key
 
 AMPLIFICATION_SCHEMA = "repro.amplification/1"
@@ -224,11 +225,7 @@ def amplification_document(
     rows: List[Dict[str, object]],
     meta: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    return {
-        "schema": AMPLIFICATION_SCHEMA,
-        "meta": dict(meta or {}),
-        "results": rows,
-    }
+    return results_document(rows, meta, AMPLIFICATION_SCHEMA)
 
 
 def render_amplification(rows: List[Dict[str, object]]) -> str:

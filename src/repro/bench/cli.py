@@ -1,647 +1,135 @@
-"""Command-line entry point: regenerate any of the paper's tables/figures.
+"""Command-line entry point: ``python -m repro.bench <target> [flags]``.
 
-Usage::
+Every target — the paper's figures and tables, the bench runs behind the
+regression gates, the crash matrix — is one record in
+:mod:`repro.bench.targets`. Each becomes a subcommand that accepts
+exactly the flags its target honours (``<target> --help`` lists them
+with their defaults), plus three commands over the registry::
 
-    python -m repro.bench fig2a
-    python -m repro.bench fig2b  [--scale 500]
-    python -m repro.bench fig4a  [--scale 500] [--stores leveldb,noblsm]
-    python -m repro.bench fig4b | fig4c | fig4d
-    python -m repro.bench table1 [--scale 500]
-    python -m repro.bench fig5a  [--scale 2000]
-    python -m repro.bench fig5b  [--scale 2000]
-    python -m repro.bench all
-    python -m repro.bench crash-matrix [--points 120] [--seed 0]
-                                       [--num 240] [--modes noblsm,sync]
-    python -m repro.bench parallelism  [--scale 2000] [--stores noblsm]
-                                       [--channels 1,4] [--threads 1,2]
-    python -m repro.bench fillrandom   [--observe] [--trace-out t.json]
-                                       [--scale 2000] [--stores noblsm]
-    python -m repro.bench speed        [--repeats 3] [--warmup 1]
-                                       [--scale 2000] [--stores noblsm]
-    python -m repro.bench soak         [--rate 40000] [--duration 0.75]
-                                       [--window-ms 25] [--stores noblsm]
-    python -m repro.bench serve        [--shards 4] [--tenants 6]
-                                       [--rate 90000] [--duration 0.3]
-                                       [--mode open] [--max-queue 32]
-    python -m repro.bench amplification [--scale 2000] [--num 0]
-                                       [--stores noblsm,noblsm-kv]
-                                       [--value-sizes 1024,4096]
-                                       [--value-threshold 1024]
-    python -m repro.bench slo           [--scenario serve|soak]
-                                       [--interval-ms 5] [--gate]
-                                       [--latency-slo-us 100]
-                                       [--rate 90000] [--duration 0.3]
-    python -m repro.bench compare BASELINE.json CURRENT.json
-                                       [--thresholds us_per_op=0.1,...]
-                                       [--json DIR]
+    python -m repro.bench <target> [flags] [--json DIR]
+    python -m repro.bench gate [TARGET ...]
+    python -m repro.bench refresh [TARGET ...]
+    python -m repro.bench compare BASELINE.json CURRENT.json [--json DIR]
 
-``crash-matrix`` is the durability sweep, not a figure: it exits
-non-zero if any crash point violates a durability invariant, so CI can
-gate on it. ``parallelism`` sweeps device channels x background
-compaction threads over compaction-bound fillrandom. ``fillrandom``
-runs one store once, optionally with observability (``--observe``) and
-causal tracing (``--trace-out`` writes a Perfetto-loadable Chrome
-trace and prints the critical-path attribution table). ``speed`` times
-the *simulator itself* — fillrandom run ``--repeats`` times with
-``--warmup`` discarded runs, reported as wall-clock ops/sec
-(``repro.speed/1``). ``soak`` runs the long-horizon stability pair —
-an open-loop Poisson workload measured in windowed p50/p99/p99.9, once
-with stock options and once with the rate limiter + dynamic slowdown —
-and prints ascii timelines (``repro.soak/1``). ``serve`` runs the
-sharded multi-tenant serving pair — N store shards behind the
-deterministic router with tenant-affine placement, hot-tenant zipf
-skew, a diurnal open-loop arrival curve, and per-shard admission
-control — once untuned and once fair-scheduled, reporting per-tenant
-and per-shard p50/p99/p99.9, the fairness ratio, and shed/queued
-counts (``repro.serve/1``). ``amplification`` sweeps write/read/space
-amplification over a large-value fillrandom grid, noblsm against the
-key-value-separated noblsm-kv (``repro.amplification/1``). ``slo`` runs
-the serve (or soak) pair with continuous telemetry attached — a
-virtual-time sampler scraping counters, gauges, windowed percentiles,
-and health probes at a fixed interval, with latency/availability SLO
-monitors firing multi-window burn-rate alerts — and prints the ASCII
-flight-recorder dashboard; ``--gate`` exits non-zero unless the untuned
-run fires a fast-burn alert while the tuned twin fires none
-(``repro.slo/1`` plus per-variant ``repro.timeseries/1``). ``compare``
-diffs two ``repro.bench/1`` / ``repro.speed/1`` / ``repro.soak/1`` /
-``repro.serve/1`` / ``repro.amplification/1`` / ``repro.slo/1`` JSONs
-and exits non-zero on a regression — the CI perf gate; ``--json``
-additionally writes the machine-readable ``repro.compare/1`` report.
-``all`` regenerates the figures only.
+``gate`` runs each named gate (default: every gate) at its CI size into
+``results/<target>-gate/``, checks the target's invariants, compares its
+``<target>.json`` against ``benchmarks/baselines/`` and exits 1 on any
+problem. ``refresh`` re-records the baselines of the named targets
+(default: all of them) after a deliberate behaviour change. ``compare``
+diffs two documents of one registered schema and exits 1 on a
+regression; ``--json`` also writes the ``repro.compare/1`` report.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import shutil
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.bench import figures
+from repro.bench.compare import (
+    compare_documents,
+    render_compare,
+    report_payload,
+)
+from repro.bench.report import write_json
+from repro.bench.targets import FLAGS, GATES, TARGETS, BenchTarget, read
 
-_FIG4 = {
-    "fig4a": "fillrandom",
-    "fig4b": "overwrite",
-    "fig4c": "readseq",
-    "fig4d": "readrandom",
-}
+BASELINE_DIR = os.path.join("benchmarks", "baselines")
+RESULTS_DIR = "results"
 
 
-def _render(
-    target: str,
-    scale: Optional[float],
-    stores: Optional[List[str]],
-    chart: bool = False,
-) -> str:
-    kwargs = {}
-    if stores:
-        kwargs["stores"] = stores
-    if target == "fig2a":
-        return figures.render_fig2a()
-    if target == "fig2b":
-        return figures.render_fig2b(scale or figures.DEFAULT_SCALE)
-    if target in _FIG4:
-        workload = _FIG4[target]
-        if chart:
-            from repro.bench.ascii_plot import line_series
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Run the NobLSM reproduction's figures, benchmarks "
+                    "and regression gates.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="TARGET"
+    )
+    for target in TARGETS.values():
+        sub = commands.add_parser(
+            target.name,
+            help=target.help,
+            description=target.help,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        for key, default in target.flags.items():
+            option, kwargs = FLAGS[key]
+            sub.add_argument(option, dest=key, default=default, **kwargs)
+        sub.add_argument(
+            "--json", metavar="DIR", help="also write the documents into DIR"
+        )
+    for command, text in (
+        ("gate", "run gates at CI size, check and compare (default: all)"),
+        ("refresh", "re-record gate baselines (default: all)"),
+    ):
+        sub = commands.add_parser(command, help=text, description=text)
+        sub.add_argument("targets", nargs="*", metavar="TARGET")
+    sub = commands.add_parser(
+        "compare", help="diff two documents; exit 1 on a regression"
+    )
+    sub.add_argument("paths", nargs="*", help="BASELINE.json CURRENT.json")
+    sub.add_argument(
+        "--json", metavar="DIR", help="also write DIR/compare.json"
+    )
+    return parser
 
-            series = figures.fig4(
-                workload, scale=scale or figures.DEFAULT_SCALE, **kwargs
+
+def _ci_args(parser, target: BenchTarget, out_dir: str):
+    return parser.parse_args(
+        [target.name, *target.ci_argv, "--json", out_dir]
+    )
+
+
+def _gate_problems(parser, target: BenchTarget) -> List[str]:
+    out_dir = os.path.join(RESULTS_DIR, f"{target.name}-gate")
+    shutil.rmtree(out_dir, ignore_errors=True)
+    print(f"== gate {target.name} {' '.join(target.ci_argv)}")
+    problems = []
+    if target.run(_ci_args(parser, target, out_dir)) != 0:
+        problems.append("the run exited non-zero")
+    try:
+        if target.check is not None:
+            problems += target.check(out_dir)
+        if target.metrics:
+            document = f"{target.name}.json"
+            report = compare_documents(
+                read(BASELINE_DIR, document), read(out_dir, document)
             )
-            sizes = sorted(next(iter(series.values())))
-            return line_series(
-                f"Figure {target[-2:]}: {workload}",
-                sizes,
-                series,
-                x_label="value size (B)",
-                unit="us/op",
-                log=workload in ("fillrandom", "overwrite"),
+            print(render_compare(report))
+            write_json(
+                os.path.join(out_dir, "compare.json"), report_payload(report)
             )
-        return figures.render_fig4(
-            workload, scale=scale or figures.DEFAULT_SCALE, **kwargs
-        )
-    if target == "table1":
-        return figures.render_table1(scale or figures.DEFAULT_SCALE)
-    if target in ("fig5a", "fig5b"):
-        threads = 1 if target == "fig5a" else 4
-        if chart:
-            from repro.bench.ascii_plot import grouped_bars
-            from repro.bench.ycsb import PAPER_ORDER
-
-            series = figures.fig5(threads, scale=scale or 2000.0, **kwargs)
-            phases = [p for p in PAPER_ORDER if p in next(iter(series.values()))]
-            return grouped_bars(
-                f"Figure {target[-2:]}: YCSB, {threads} thread(s)",
-                phases,
-                series,
-                unit="us/op",
-            )
-        return figures.render_fig5(threads, scale=scale or 2000.0, **kwargs)
-    raise ValueError(f"unknown target {target!r}")
+            if not report.passed:
+                problems.append(f"{document} regressed against {BASELINE_DIR}")
+    except (OSError, KeyError, ValueError) as exc:
+        problems.append(f"{type(exc).__name__}: {exc}")
+    return problems
 
 
-def _payload(
-    target: str,
-    scale: Optional[float],
-    stores: Optional[List[str]],
-) -> Dict[str, object]:
-    """Machine-readable data for one target (recomputes the figure)."""
-    kwargs = {}
-    if stores:
-        kwargs["stores"] = stores
-
-    def series_doc(series, x_label):
-        return {
-            x_label: {
-                store: {str(x): v for x, v in points.items()}
-                for store, points in series.items()
-            }
-        }
-
-    doc: Dict[str, object] = {"schema": "repro.figure/1", "figure": target}
-    if target == "fig2a":
-        doc.update(series_doc(figures.fig2a(), "series"))
-    elif target == "fig2b":
-        data = figures.fig2b(scale or figures.DEFAULT_SCALE)
-        doc["points"] = {k: round(v, 3) for k, v in data.items()}
-    elif target in _FIG4:
-        series = figures.fig4(
-            _FIG4[target], scale=scale or figures.DEFAULT_SCALE, **kwargs
-        )
-        doc["workload"] = _FIG4[target]
-        doc.update(series_doc(series, "series"))
-    elif target == "table1":
-        data = figures.table1(scale=scale or figures.DEFAULT_SCALE, **kwargs)
-        doc["stores"] = {
-            store: {"syncs": syncs, "gb_equiv": round(gb, 3)}
-            for store, (syncs, gb) in data.items()
-        }
-    elif target in ("fig5a", "fig5b"):
-        threads = 1 if target == "fig5a" else 4
-        series = figures.fig5(threads, scale=scale or 2000.0, **kwargs)
-        doc["threads"] = threads
-        doc.update(series_doc(series, "series"))
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    return doc
+def _gate(parser, targets: List[BenchTarget]) -> int:
+    failed = 0
+    for target in targets:
+        problems = _gate_problems(parser, target)
+        for problem in problems:
+            print(f"GATE FAIL {target.name}: {problem}")
+        if not problems:
+            print(f"GATE PASS {target.name}")
+        failed += bool(problems)
+    return 1 if failed else 0
 
 
-ALL_TARGETS = ["fig2a", "fig2b", "fig4a", "fig4b", "fig4c", "fig4d",
-               "table1", "fig5a", "fig5b"]
-
-
-def _run_crash_matrix(args) -> int:
-    """The ``crash-matrix`` target: sweep crash points, gate on violations."""
-    from repro.crashtest import (
-        CrashMatrixConfig,
-        matrix_payload,
-        render_matrix,
-        run_crash_matrix,
-    )
-
-    modes = args.modes.split(",") if args.modes else ["noblsm", "sync"]
-    reports = []
-    for mode in modes:
-        config = CrashMatrixConfig(
-            mode=mode,
-            points=args.points,
-            seed=args.seed,
-            num_ops=args.num,
-            background_threads=args.bg_threads,
-        )
-        reports.append(run_crash_matrix(config))
-    print(render_matrix(reports))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "crash-matrix.json")
-        with open(path, "w") as fh:
-            json.dump(matrix_payload(reports), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {path}")
-    return 0 if not any(r.violations for r in reports) else 1
-
-
-def _run_parallelism(args) -> int:
-    """The ``parallelism`` target: channels x threads sweep + JSON."""
-    from repro.bench.parallelism import (
-        DEFAULT_CHANNELS,
-        DEFAULT_SCALE,
-        DEFAULT_THREADS,
-        render_parallelism,
-        run_parallelism,
-    )
-    from repro.bench.report import write_results_json
-
-    channels = (
-        [int(c) for c in args.channels.split(",")]
-        if args.channels
-        else list(DEFAULT_CHANNELS)
-    )
-    threads = (
-        [int(t) for t in args.threads.split(",")]
-        if args.threads
-        else list(DEFAULT_THREADS)
-    )
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or DEFAULT_SCALE
-    results = run_parallelism(
-        store=store,
-        scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
-        channels=channels,
-        threads=threads,
-        seed=args.seed if args.seed else 1234,
-    )
-    print(render_parallelism(results))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "parallelism.json")
-        write_results_json(
-            path,
-            results,
-            meta={
-                "target": "parallelism",
-                "store": store,
-                "scale": scale,
-                "channels": channels,
-                "threads": threads,
-            },
-        )
-        print(f"\nwrote {path}")
+def _refresh(parser, targets: List[BenchTarget]) -> int:
+    for target in targets:
+        if target.run(_ci_args(parser, target, BASELINE_DIR)) != 0:
+            return 1
     return 0
 
 
-def _run_fillrandom(args) -> int:
-    """The ``fillrandom`` target: one store, optional trace + JSON."""
-    import time
-
-    from repro.bench.db_bench import run_fillrandom
-    from repro.bench.harness import ScaledConfig
-    from repro.bench.report import (
-        format_breakdown_table,
-        format_latency_table,
-        write_results_json,
-    )
-    from repro.obs.critical_path import analyze_write_path, render_critical_path
-    from repro.obs.trace import write_chrome_trace
-
-    trace = args.trace_out is not None
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
-    config = ScaledConfig(
-        scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
-        seed=seed,
-        observe=args.observe or trace,
-        trace=trace,
-        num_channels=channels,
-        background_threads=threads,
-    )
-    wall_start = time.perf_counter()
-    result, stack, db = run_fillrandom(store, config)
-    result.wall_seconds = time.perf_counter() - wall_start
-    print(
-        f"fillrandom {store}: {result.num_ops} ops, "
-        f"{result.us_per_op:.3f} us/op, {result.sync_calls} syncs, "
-        f"{result.stall_ns / 1e6:.2f} ms stalled "
-        f"[host: {result.wall_seconds:.3f}s, "
-        f"{result.ops_per_sec_wall:,.0f} ops/sec real time]"
-    )
-    if stack.obs.enabled:
-        print()
-        print(format_latency_table([result]))
-        print()
-        print(format_breakdown_table([result]))
-    if trace:
-        report = analyze_write_path(stack.obs)
-        print()
-        print(render_critical_path(report, stack.obs))
-        doc = write_chrome_trace(
-            args.trace_out,
-            stack.obs.tracer,
-            meta={
-                "target": "fillrandom",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-                "num_ops": result.num_ops,
-                "device": stack.ssd.profile.describe(),
-            },
-        )
-        print(
-            f"\nwrote {args.trace_out} "
-            f"({len(doc['traceEvents'])} events; open in ui.perfetto.dev)"
-        )
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "fillrandom.json")
-        write_results_json(
-            path,
-            [result],
-            meta={
-                "target": "fillrandom",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-            },
-        )
-        print(f"\nwrote {path}")
-    return 0
-
-
-def _run_speed(args) -> int:
-    """The ``speed`` target: wall-clock simulator throughput + JSON."""
-    from repro.bench.speed import render_speed, run_speed, write_speed_json
-
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
-    result = run_speed(
-        store=store,
-        scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
-        seed=args.seed if args.seed else 1234,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        num_channels=channels,
-        background_threads=threads,
-    )
-    print(render_speed([result]))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "speed.json")
-        write_speed_json(
-            path,
-            [result],
-            meta={
-                "target": "speed",
-                "store": store,
-                "scale": scale,
-                "repeats": args.repeats,
-                "warmup": args.warmup,
-            },
-        )
-        print(f"\nwrote {path}")
-    return 0
-
-
-def _run_soak(args) -> int:
-    """The ``soak`` target: untuned + tuned stability pair, JSON + timeline."""
-    from repro.bench.soak import (
-        SoakConfig,
-        render_soak,
-        run_soak_pair,
-        write_soak_json,
-    )
-
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
-    config = SoakConfig(
-        store=store,
-        scale=scale,
-        seed=seed,
-        arrival_rate=args.rate if args.rate is not None else 40_000.0,
-        duration_s=args.duration if args.duration is not None else 0.75,
-        window_ms=args.window_ms,
-        num_channels=channels,
-        background_threads=threads,
-    )
-    results = run_soak_pair(config)
-    rendered = render_soak(results)
-    print(rendered)
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "soak.json")
-        write_soak_json(
-            path,
-            results,
-            meta={
-                "target": "soak",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-                "arrival_rate": args.rate,
-                "duration_s": args.duration,
-                "window_ms": args.window_ms,
-            },
-        )
-        timeline = os.path.join(args.json, "soak-timeline.txt")
-        with open(timeline, "w") as fh:
-            fh.write(rendered + "\n")
-        print(f"\nwrote {path} and {timeline}")
-    return 0
-
-
-def _run_serve(args) -> int:
-    """The ``serve`` target: untuned + fair cluster pair, JSON + timeline."""
-    from repro.serve import (
-        ServeConfig,
-        render_serve,
-        run_serve_pair,
-        write_serve_json,
-    )
-
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
-    config = ServeConfig(
-        store=store,
-        num_shards=args.shards,
-        num_tenants=args.tenants,
-        scale=scale,
-        seed=seed,
-        arrival_rate=args.rate if args.rate is not None else 90_000.0,
-        duration_s=args.duration if args.duration is not None else 0.3,
-        window_ms=args.window_ms,
-        diurnal_amplitude=args.amplitude,
-        spread=args.spread,
-        max_queue=args.max_queue,
-        mode=args.mode,
-        num_channels=channels,
-        background_threads=threads,
-    )
-    results = run_serve_pair(config)
-    rendered = render_serve(results)
-    print(rendered)
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "serve.json")
-        write_serve_json(
-            path,
-            results,
-            meta={
-                "target": "serve",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-                "shards": config.num_shards,
-                "tenants": config.num_tenants,
-                "arrival_rate": config.arrival_rate,
-                "duration_s": config.duration_s,
-                "window_ms": args.window_ms,
-                "mode": config.mode,
-            },
-        )
-        timeline = os.path.join(args.json, "serve-timeline.txt")
-        with open(timeline, "w") as fh:
-            fh.write(rendered + "\n")
-        print(f"\nwrote {path} and {timeline}")
-    return 0
-
-
-def _run_amplification(args) -> int:
-    """The ``amplification`` target: noblsm vs noblsm-kv WA/RA/SA sweep."""
-    from repro.bench.amplification import (
-        DEFAULT_SCALE,
-        DEFAULT_STORES,
-        DEFAULT_VALUE_SIZES,
-        DEFAULT_VALUE_THRESHOLD,
-        amplification_document,
-        render_amplification,
-        run_amplification_sweep,
-    )
-
-    stores = args.stores.split(",") if args.stores else list(DEFAULT_STORES)
-    value_sizes = (
-        [int(v) for v in args.value_sizes.split(",")]
-        if args.value_sizes
-        else list(DEFAULT_VALUE_SIZES)
-    )
-    scale = args.scale or DEFAULT_SCALE
-    threshold = (
-        args.value_threshold
-        if args.value_threshold is not None
-        else DEFAULT_VALUE_THRESHOLD
-    )
-    seed = args.seed if args.seed else 1234
-    rows = run_amplification_sweep(
-        stores=stores,
-        value_sizes=value_sizes,
-        scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
-        value_threshold=threshold,
-        seed=seed,
-    )
-    print(render_amplification(rows))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "amplification.json")
-        doc = amplification_document(
-            rows,
-            meta={
-                "target": "amplification",
-                "stores": stores,
-                "value_sizes": value_sizes,
-                "scale": scale,
-                "value_threshold": threshold,
-                "seed": seed,
-            },
-        )
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {path}")
-    return 0
-
-
-def _run_slo(args) -> int:
-    """The ``slo`` target: telemetry-on pair, dashboard, alert gate."""
-    from repro.bench.slo import (
-        SloConfig,
-        check_discrimination,
-        render_slo,
-        run_slo,
-        write_slo_json,
-        write_timeseries_json,
-    )
-    from repro.bench.soak import SoakConfig
-    from repro.serve.bench import ServeConfig
-
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    config = SloConfig(
-        scenario=args.scenario,
-        interval_ms=args.interval_ms,
-        latency_threshold_us=args.latency_slo_us,
-        serve=ServeConfig(
-            store=store,
-            num_shards=args.shards,
-            num_tenants=args.tenants,
-            scale=scale,
-            seed=seed,
-            arrival_rate=args.rate if args.rate is not None else 90_000.0,
-            duration_s=args.duration if args.duration is not None else 0.3,
-            window_ms=args.window_ms,
-            diurnal_amplitude=args.amplitude,
-            spread=args.spread,
-            max_queue=args.max_queue,
-        ),
-        soak=SoakConfig(
-            store=store,
-            scale=scale,
-            seed=seed,
-            arrival_rate=args.rate if args.rate is not None else 40_000.0,
-            duration_s=args.duration if args.duration is not None else 0.75,
-            window_ms=args.window_ms,
-        ),
-    )
-    results = run_slo(config)
-    rendered = render_slo(results)
-    print(rendered)
-    meta = {
-        "target": "slo",
-        "scenario": config.scenario,
-        "store": store,
-        "scale": scale,
-        "seed": seed,
-        "interval_ms": args.interval_ms,
-        "latency_slo_us": args.latency_slo_us,
-        "window_ms": args.window_ms,
-    }
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "slo.json")
-        write_slo_json(path, results, meta)
-        written = [path]
-        for result in results:
-            ts_path = os.path.join(
-                args.json, f"timeseries-{result.workload}.json"
-            )
-            write_timeseries_json(
-                ts_path, result, dict(meta, workload=result.workload)
-            )
-            written.append(ts_path)
-        dashboard = os.path.join(args.json, "slo-dashboard.txt")
-        with open(dashboard, "w") as fh:
-            fh.write(rendered + "\n")
-        written.append(dashboard)
-        print(f"\nwrote {', '.join(written)}")
-    if args.gate:
-        problems = check_discrimination(results)
-        return 0 if not problems else 1
-    return 0
-
-
-def _run_compare(args) -> int:
-    """The ``compare`` target: perf gate over two repro.bench/1 files."""
-    from repro.bench.compare import (
-        compare_documents,
-        parse_thresholds,
-        render_compare,
-        report_payload,
-    )
-
+def _compare(args) -> int:
     if len(args.paths) != 2:
         print(
             "usage: python -m repro.bench compare BASELINE.json CURRENT.json",
@@ -649,275 +137,36 @@ def _run_compare(args) -> int:
         )
         return 2
     base_path, cur_path = args.paths
-    with open(base_path) as fh:
-        base_doc = json.load(fh)
-    with open(cur_path) as fh:
-        cur_doc = json.load(fh)
-    report = compare_documents(
-        base_doc, cur_doc, thresholds=parse_thresholds(args.thresholds)
-    )
+    report = compare_documents(read(base_path), read(cur_path))
     print(render_compare(report))
     if args.json:
-        os.makedirs(args.json, exist_ok=True)
         path = os.path.join(args.json, "compare.json")
-        with open(path, "w") as fh:
-            json.dump(report_payload(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, report_payload(report))
         print(f"\nwrote {path}")
     return 0 if report.passed else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the NobLSM paper's tables and figures.",
-    )
-    parser.add_argument(
-        "target",
-        choices=ALL_TARGETS
-        + ["all", "crash-matrix", "parallelism", "fillrandom", "speed",
-           "soak", "serve", "amplification", "slo", "compare"],
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="compare: BASELINE.json CURRENT.json",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="scale factor (paper setup / N); default per target",
-    )
-    parser.add_argument(
-        "--stores",
-        type=str,
-        default=None,
-        help="comma-separated store subset (default: the paper's seven)",
-    )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="render an ASCII chart instead of a table (fig4*/fig5*)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="DIR",
-        default=None,
-        help="also write <DIR>/<target>.json machine-readable payloads "
-             "(reruns each target)",
-    )
-    parser.add_argument(
-        "--points",
-        type=int,
-        default=120,
-        help="crash-matrix: injection-point budget per mode (default 120)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="crash-matrix: workload / point-selection seed (default 0)",
-    )
-    parser.add_argument(
-        "--num",
-        type=int,
-        default=240,
-        help="crash-matrix: operations per workload (default 240)",
-    )
-    parser.add_argument(
-        "--modes",
-        type=str,
-        default=None,
-        help="crash-matrix: comma-separated modes (default noblsm,sync)",
-    )
-    parser.add_argument(
-        "--bg-threads",
-        type=int,
-        default=1,
-        help="crash-matrix: background compaction threads (default 1)",
-    )
-    parser.add_argument(
-        "--channels",
-        type=str,
-        default=None,
-        help="parallelism: comma-separated device channel counts "
-             "(default 1,4)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=str,
-        default=None,
-        help="parallelism: comma-separated background thread counts "
-             "(default 1,2)",
-    )
-    parser.add_argument(
-        "--observe",
-        action="store_true",
-        help="fillrandom: wire a MetricRegistry through the stack",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="fillrandom: write a Chrome trace-event JSON (implies "
-             "--observe) and print the critical-path table",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="speed: measured fillrandom runs (default 3)",
-    )
-    parser.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        help="speed: discarded warm-up runs before measuring (default 1)",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="soak/serve: open-loop arrival rate, ops per virtual second "
-             "(default 40000 soak, 90000 serve)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="soak/serve: horizon in virtual seconds "
-             "(default 0.75 soak, 0.3 serve)",
-    )
-    parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=25.0,
-        help="soak: percentile window width in virtual ms (default 25)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="serve: independent store shards (default 4)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=6,
-        help="serve: tenants sharing the cluster (default 6)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["open", "closed"],
-        default="open",
-        help="serve: open-loop arrivals or closed-loop clients "
-             "(default open)",
-    )
-    parser.add_argument(
-        "--max-queue",
-        type=int,
-        default=32,
-        help="serve: per-shard admission queue bound, 0 disables "
-             "admission control (default 32)",
-    )
-    parser.add_argument(
-        "--spread",
-        type=int,
-        default=1,
-        help="serve: shards per tenant home group; 1 = tenant-affine "
-             "placement (default 1)",
-    )
-    parser.add_argument(
-        "--amplitude",
-        type=float,
-        default=0.4,
-        help="serve: diurnal rate modulation depth in [0, 1) "
-             "(default 0.4)",
-    )
-    parser.add_argument(
-        "--value-sizes",
-        type=str,
-        default=None,
-        help="amplification: comma-separated value sizes in bytes "
-             "(default 1024,4096)",
-    )
-    parser.add_argument(
-        "--value-threshold",
-        type=int,
-        default=None,
-        help="amplification: kv separation threshold in bytes, applied "
-             "to *-kv stores only (default 1024)",
-    )
-    parser.add_argument(
-        "--scenario",
-        choices=["serve", "soak"],
-        default="serve",
-        help="slo: which benchmark pair to fly the recorder on "
-             "(default serve)",
-    )
-    parser.add_argument(
-        "--interval-ms",
-        type=float,
-        default=5.0,
-        help="slo: virtual sampling interval in ms (default 5)",
-    )
-    parser.add_argument(
-        "--latency-slo-us",
-        type=float,
-        default=100.0,
-        help="slo: latency objective threshold in us — keep it on a "
-             "1-2-5 histogram bucket bound for exact good/bad counting "
-             "(default 100)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="slo: exit non-zero unless the untuned run fires a "
-             "fast-burn alert and the tuned run fires none",
-    )
-    parser.add_argument(
-        "--thresholds",
-        type=str,
-        default=None,
-        help="compare: per-metric threshold overrides, e.g. "
-             "us_per_op=0.1,stall_ns=0.5",
-    )
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.target == "crash-matrix":
-        return _run_crash_matrix(args)
-    if args.target == "parallelism":
-        return _run_parallelism(args)
-    if args.target == "fillrandom":
-        return _run_fillrandom(args)
-    if args.target == "speed":
-        return _run_speed(args)
-    if args.target == "soak":
-        return _run_soak(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "amplification":
-        return _run_amplification(args)
-    if args.target == "slo":
-        return _run_slo(args)
-    if args.target == "compare":
-        return _run_compare(args)
-    stores = args.stores.split(",") if args.stores else None
-    targets = ALL_TARGETS if args.target == "all" else [args.target]
-    for target in targets:
-        print(_render(target, args.scale, stores, chart=args.chart))
-        print()
-        if args.json:
-            os.makedirs(args.json, exist_ok=True)
-            path = os.path.join(args.json, f"{target}.json")
-            with open(path, "w") as fh:
-                json.dump(
-                    _payload(target, args.scale, stores),
-                    fh, indent=2, sort_keys=True,
-                )
-                fh.write("\n")
-            print(f"wrote {path}\n")
-    return 0
+    if args.command == "compare":
+        return _compare(args)
+    if args.command in ("gate", "refresh"):
+        eligible = {
+            t.name: t
+            for t in GATES
+            if args.command == "gate" or t.baselines
+        }
+        unknown = [name for name in args.targets if name not in eligible]
+        if unknown:
+            parser.error(
+                f"{args.command}: {', '.join(unknown)} is not one of "
+                f"{', '.join(eligible)}"
+            )
+        picked = [eligible[name] for name in args.targets]
+        run = _gate if args.command == "gate" else _refresh
+        return run(parser, picked or list(eligible.values()))
+    return TARGETS[args.command].run(args)
 
 
 if __name__ == "__main__":

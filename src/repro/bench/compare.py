@@ -1,4 +1,4 @@
-"""Diff two ``repro.bench/1`` documents — the CI perf-regression gate.
+"""Diff two bench documents — the regression half of every gate.
 
 :func:`compare_documents` matches result rows between a *baseline* and a
 *current* document by their identity key (store, workload, value size,
@@ -12,10 +12,14 @@ syncs, a handful of stall microseconds) from tripping a relative gate.
 Rows present in the baseline but missing from the current run are
 regressions too — a silently dropped benchmark must fail the gate.
 
+Which metrics a document is gated on follows from its schema: each
+registered bench target (:mod:`repro.bench.targets`) declares its
+schema and metric set, and only those schemas are comparable.
+
 The simulation is deterministic, so identical code produces *identical*
 numbers and the thresholds only have to absorb deliberate behaviour
-changes; ``make refresh-baselines`` re-records them when a change is
-intentional.
+changes; ``make refresh-<target>-baseline`` re-records one when a change
+is intentional.
 """
 
 from __future__ import annotations
@@ -23,115 +27,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-SCHEMA = "repro.bench/1"
-SPEED_SCHEMA = "repro.speed/1"
-SOAK_SCHEMA = "repro.soak/1"
-SERVE_SCHEMA = "repro.serve/1"
-AMPLIFICATION_SCHEMA = "repro.amplification/1"
-SLO_SCHEMA = "repro.slo/1"
-
 #: machine-readable report schema emitted by ``compare --json``
 COMPARE_SCHEMA = "repro.compare/1"
 
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """One gated metric: relative threshold + absolute floor.
-
-    ``higher_is_better`` flips the direction: a wall-clock throughput
-    metric regresses when it *drops* below its limit.
-    """
+    """One gated, lower-is-better metric: relative threshold + floor."""
 
     name: str
     threshold: float
     floor: float
-    higher_is_better: bool = False
 
     def limit(self, base: float) -> float:
-        if self.higher_is_better:
-            return base * (1.0 - self.threshold) - self.floor
         return base * (1.0 + self.threshold) + self.floor
 
     def is_regression(self, base: float, current: float) -> bool:
-        if self.higher_is_better:
-            return current < self.limit(base)
         return current > self.limit(base)
 
-
-#: the gate's default metric set; all are lower-is-better
-DEFAULT_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("us_per_op", 0.10, 0.01),
-    MetricSpec("put_p99_us", 0.25, 5.0),
-    MetricSpec("stall_ns", 0.25, 5e6),
-    MetricSpec("device_bytes_written", 0.25, 64 * 1024),
-    MetricSpec("syncs", 0.10, 2.0),
-)
-
-#: the ``repro.speed/1`` gate: wall-clock throughput, higher-is-better.
-#: The threshold is deliberately generous (fail only below half the
-#: recorded baseline) because host hardware and interpreter version move
-#: wall-clock numbers in ways the deterministic virtual-time metrics
-#: never experience.
-SPEED_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("ops_per_sec", 0.50, 0.0, higher_is_better=True),
-)
-
-#: the ``repro.soak/1`` stability gate (all lower-is-better, all
-#: deterministic virtual-time numbers). ``windowed_p999_us`` is the
-#: worst windowed p99.9 — the spike a user actually hits;
-#: ``p999_ratio`` is that spike relative to the median window, the
-#: paper-style stability measure; ``max_stall_ns`` the single longest
-#: write stall; ``blocked_ns`` the unified stall + slowdown total.
-#: Floors absorb near-zero wobble: a tuned run whose worst window is a
-#: few microseconds must not fail the gate over nanosecond noise.
-SOAK_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("windowed_p999_us", 0.25, 50.0),
-    MetricSpec("p999_ratio", 0.25, 0.5),
-    MetricSpec("max_stall_ns", 0.25, 1e6),
-    MetricSpec("blocked_ns", 0.25, 5e6),
-)
-
-#: the ``repro.serve/1`` multi-tenant gate (all lower-is-better,
-#: deterministic virtual-time numbers). ``worst_tenant_p999_us`` is the
-#: serving headline — the tail the worst-off tenant actually gets;
-#: ``fairness_ratio`` (worst/best tenant p99) is the multi-tenant SLA
-#: measure; ``shed`` counts refused requests (a fair cluster should not
-#: start shedding more than its recorded baseline); ``blocked_ns`` sums
-#: writer-not-progressing time over every shard. Floors absorb
-#: near-zero wobble on the tuned variant.
-SERVE_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("worst_tenant_p999_us", 0.25, 50.0),
-    MetricSpec("worst_tenant_p99_us", 0.25, 25.0),
-    MetricSpec("fairness_ratio", 0.25, 0.5),
-    MetricSpec("shed", 0.25, 20.0),
-    MetricSpec("blocked_ns", 0.25, 5e6),
-)
-
-#: the ``repro.amplification/1`` gate (all lower-is-better ratios from
-#: deterministic virtual-time runs). ``wa_device`` and ``wa_compaction``
-#: are the headline write-amplification claims the kv variant exists
-#: for; ``ra_point`` absorbs more wobble because probe counts shift with
-#: any compaction-shape change; ``space_amp`` guards vLog garbage from
-#: piling up unreclaimed.
-AMPLIFICATION_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("wa_device", 0.10, 0.05),
-    MetricSpec("wa_compaction", 0.10, 0.05),
-    MetricSpec("ra_point", 0.25, 0.25),
-    MetricSpec("space_amp", 0.10, 0.05),
-)
-
-#: the ``repro.slo/1`` alerting gate (all lower-is-better, fully
-#: deterministic). Alert *counts* are gated exactly (threshold 0 with a
-#: 0.5 floor: any extra alert on a variant that held its SLOs fails);
-#: ``bad_events`` (summed SLO violations) and ``max_burn`` (worst burn
-#: rate any monitor saw) absorb moderate wobble because deliberate
-#: workload changes shift them without changing the alert story.
-SLO_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("alerts_total", 0.0, 0.5),
-    MetricSpec("fast_burn_alerts", 0.0, 0.5),
-    MetricSpec("bad_events", 0.25, 20.0),
-    MetricSpec("max_burn", 0.25, 1.0),
-)
 
 #: row-identity fields; extras are included when present
 _KEY_FIELDS = ("store", "workload", "value_size", "ops")
@@ -169,7 +82,6 @@ class MetricDelta:
     current: float
     threshold: float
     regressed: bool
-    higher_is_better: bool = False
 
     @property
     def ratio(self) -> float:
@@ -197,34 +109,8 @@ class CompareReport:
         return not self.regressions and not self.missing_rows
 
 
-def parse_thresholds(spec: Optional[str]) -> Optional[Dict[str, float]]:
-    """Parse a ``metric=frac,metric=frac`` CLI override string."""
-    if not spec:
-        return None
-    overrides: Dict[str, float] = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(
-                f"bad threshold {item!r}; expected metric=fraction"
-            )
-        name, _, value = item.partition("=")
-        overrides[name.strip()] = float(value)
-    return overrides
-
-
-def _check_schema(doc: Dict[str, object], which: str) -> str:
+def _check_schema(doc: Dict[str, object], which: str, known) -> str:
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    known = (
-        SCHEMA,
-        SPEED_SCHEMA,
-        SOAK_SCHEMA,
-        SERVE_SCHEMA,
-        AMPLIFICATION_SCHEMA,
-        SLO_SCHEMA,
-    )
     if schema not in known:
         raise ValueError(
             f"{which} document is not one of "
@@ -239,42 +125,17 @@ def _check_schema(doc: Dict[str, object], which: str) -> str:
 def compare_documents(
     base_doc: Dict[str, object],
     cur_doc: Dict[str, object],
-    thresholds: Optional[Dict[str, float]] = None,
 ) -> CompareReport:
-    """Compare current against baseline; thresholds override by name.
+    """Compare current against baseline on their schema's metric set."""
+    from repro.bench.targets import METRICS_BY_SCHEMA
 
-    Both documents must share a schema; ``repro.bench/1`` gates the
-    lower-is-better virtual-time metrics, ``repro.speed/1`` gates
-    wall-clock throughput (higher-is-better).
-    """
-    base_schema = _check_schema(base_doc, "baseline")
-    cur_schema = _check_schema(cur_doc, "current")
+    base_schema = _check_schema(base_doc, "baseline", METRICS_BY_SCHEMA)
+    cur_schema = _check_schema(cur_doc, "current", METRICS_BY_SCHEMA)
     if base_schema != cur_schema:
         raise ValueError(
             f"schema mismatch: baseline is {base_schema!r}, "
             f"current is {cur_schema!r}"
         )
-    if base_schema == SPEED_SCHEMA:
-        metric_set = SPEED_METRICS
-    elif base_schema == SOAK_SCHEMA:
-        metric_set = SOAK_METRICS
-    elif base_schema == SERVE_SCHEMA:
-        metric_set = SERVE_METRICS
-    elif base_schema == AMPLIFICATION_SCHEMA:
-        metric_set = AMPLIFICATION_METRICS
-    elif base_schema == SLO_SCHEMA:
-        metric_set = SLO_METRICS
-    else:
-        metric_set = DEFAULT_METRICS
-    metrics = [
-        MetricSpec(
-            m.name,
-            thresholds[m.name] if thresholds and m.name in thresholds else m.threshold,
-            m.floor,
-            m.higher_is_better,
-        )
-        for m in metric_set
-    ]
     base_rows = {row_key(r): r for r in base_doc["results"]}
     cur_rows = {row_key(r): r for r in cur_doc["results"]}
 
@@ -287,7 +148,7 @@ def compare_documents(
         if cur_row is None:
             report.missing_rows.append(key)
             continue
-        for spec in metrics:
+        for spec in METRICS_BY_SCHEMA[base_schema]:
             base = _metric_value(base_row, spec.name)
             current = _metric_value(cur_row, spec.name)
             if base is None or current is None:
@@ -300,7 +161,6 @@ def compare_documents(
                     current=current,
                     threshold=spec.threshold,
                     regressed=spec.is_regression(base, current),
-                    higher_is_better=spec.higher_is_better,
                 )
             )
     report.new_rows = [k for k in cur_rows if k not in base_rows]
@@ -343,7 +203,6 @@ def report_payload(report: CompareReport) -> Dict[str, object]:
                     else None
                 ),
                 "threshold": d.threshold,
-                "higher_is_better": d.higher_is_better,
                 "regressed": d.regressed,
             }
             for d in report.deltas
@@ -360,11 +219,10 @@ def render_compare(report: CompareReport) -> str:
     for key in report.missing_rows:
         lines.append(f"MISSING  {_key_label(key)} — row absent from current run")
     for delta in report.regressions:
-        sign = "-" if delta.higher_is_better else "+"
         lines.append(
             f"REGRESSED  {_key_label(delta.key)}  {delta.metric}: "
             f"{delta.base:g} -> {delta.current:g} "
-            f"({delta.ratio:.3f}x, limit {sign}{delta.threshold * 100:.0f}%)"
+            f"({delta.ratio:.3f}x, limit +{delta.threshold * 100:.0f}%)"
         )
     header = (
         f"{'row':<38} {'metric':<22} {'base':>14} {'current':>14} {'ratio':>8}"

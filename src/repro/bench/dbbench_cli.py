@@ -27,7 +27,8 @@ from repro.bench.harness import ScaledConfig
 from repro.bench.report import (
     format_breakdown_table,
     format_latency_table,
-    write_results_json,
+    results_document,
+    write_json,
 )
 
 DEFAULT_BENCHMARKS = "fillrandom,overwrite,readseq,readrandom"
@@ -103,17 +104,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(format_breakdown_table(results))
     if args.json:
-        write_results_json(
-            args.json,
-            results,
-            meta={
-                "store": args.store,
-                "scale": args.scale,
-                "value_size": args.value_size,
-                "seed": args.seed,
-                "observed": args.observe,
-            },
-        )
+        meta = {
+            "store": args.store,
+            "scale": args.scale,
+            "value_size": args.value_size,
+            "seed": args.seed,
+            "observed": args.observe,
+        }
+        write_json(args.json, results_document(results, meta))
         print(f"\nwrote {args.json}")
     return 0
 

@@ -2,7 +2,8 @@
 
 Each ``fig*``/``table*`` function runs the corresponding experiment at a
 configurable scale and returns the same rows/series the paper reports;
-``render_*`` helpers print them. The ``benchmarks/`` pytest-benchmark
+``render_*`` (table) and ``chart_*`` (ASCII plot) helpers format that
+data without re-running anything. The ``benchmarks/`` pytest-benchmark
 targets are thin wrappers over these functions, and EXPERIMENTS.md
 records one run of each next to the paper's numbers.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.registry import PAPER_STORES
+from repro.bench.ascii_plot import grouped_bars, line_series
 from repro.bench.db_bench import (
     run_fillrandom,
     run_overwrite,
@@ -46,8 +48,7 @@ def fig2a(sizes: Tuple[int, ...] = (4 * GIB, 8 * GIB)) -> Dict[str, Dict[int, fl
     }
 
 
-def render_fig2a() -> str:
-    data = fig2a()
+def render_fig2a(data: Dict[str, Dict[int, float]]) -> str:
     sizes = sorted(next(iter(data.values())))
     rows = [
         [strategy.capitalize()] + [round(data[strategy][s], 2) for s in sizes]
@@ -93,8 +94,7 @@ def fig2b(scale: float = FIG2B_SCALE) -> Dict[str, float]:
     return results
 
 
-def render_fig2b(scale: float = FIG2B_SCALE) -> str:
-    data = fig2b(scale)
+def render_fig2b(data: Dict[str, float]) -> str:
     rows = []
     for workload in ("fillrand", "overwrt"):
         for label in ("2MB", "64MB"):
@@ -142,20 +142,34 @@ def fig4(
     return series
 
 
-def render_fig4(workload: str, scale: float = DEFAULT_SCALE, **kwargs) -> str:
-    label = {
-        "fillrandom": "4a",
-        "overwrite": "4b",
-        "readseq": "4c",
-        "readrandom": "4d",
-    }[workload]
-    series = fig4(workload, scale=scale, **kwargs)
+#: figure label of each Figure 4 workload
+FIG4_LABELS = {
+    "fillrandom": "4a",
+    "overwrite": "4b",
+    "readseq": "4c",
+    "readrandom": "4d",
+}
+
+
+def render_fig4(workload: str, series: Dict[str, Dict[int, float]]) -> str:
     sizes = sorted(next(iter(series.values())))
     return series_by_store(
         series,
         sizes,
         "value size (B)",
-        f"Figure {label}: {workload} time/op (us, virtual)",
+        f"Figure {FIG4_LABELS[workload]}: {workload} time/op (us, virtual)",
+    )
+
+
+def chart_fig4(workload: str, series: Dict[str, Dict[int, float]]) -> str:
+    """Figure 4 as an ASCII line chart (log y for the write workloads)."""
+    return line_series(
+        f"Figure {FIG4_LABELS[workload]}: {workload}",
+        sorted(next(iter(series.values()))),
+        series,
+        x_label="value size (B)",
+        unit="us/op",
+        log=workload in ("fillrandom", "overwrite"),
     )
 
 
@@ -188,8 +202,7 @@ def table1(
     return rows
 
 
-def render_table1(scale: float = DEFAULT_SCALE) -> str:
-    data = table1(scale=scale)
+def render_table1(data: Dict[str, Tuple[int, float]]) -> str:
     rows = [
         [store, count, round(gb, 2)] for store, (count, gb) in data.items()
     ]
@@ -222,13 +235,26 @@ def fig5(
     return series
 
 
-def render_fig5(threads: int, scale: float = 5000.0, **kwargs) -> str:
+def _phases(series: Dict[str, Dict[str, float]]) -> List[str]:
+    return [p for p in PAPER_ORDER if p in next(iter(series.values()))]
+
+
+def render_fig5(threads: int, series: Dict[str, Dict[str, float]]) -> str:
     label = "5a" if threads == 1 else "5b"
-    series = fig5(threads, scale=scale, **kwargs)
-    phases = [p for p in PAPER_ORDER if p in next(iter(series.values()))]
     return series_by_store(
         series,
-        phases,
+        _phases(series),
         "workload",
         f"Figure {label}: YCSB time/op (us, virtual), {threads} thread(s)",
+    )
+
+
+def chart_fig5(threads: int, series: Dict[str, Dict[str, float]]) -> str:
+    """Figure 5 as ASCII grouped bars, one group per YCSB phase."""
+    label = "5a" if threads == 1 else "5b"
+    return grouped_bars(
+        f"Figure {label}: YCSB, {threads} thread(s)",
+        _phases(series),
+        series,
+        unit="us/op",
     )

@@ -4,10 +4,11 @@ Two consumers, two formats:
 
 - plain-text tables (``format_table`` / ``series_by_store`` /
   ``format_latency_table`` / ``format_breakdown_table``) for humans;
-- a versioned JSON document (``results_document`` /
-  ``write_results_json``, schema ``repro.bench/1``) so runs can be
-  diffed and plotted by machines. Observed runs additionally carry
-  per-op latency percentiles and the per-layer time breakdown.
+- versioned JSON documents (``results_document`` / ``write_json``;
+  schema ``repro.bench/1`` by default, every other bench target passes
+  its own) so runs can be diffed and plotted by machines. Observed runs
+  additionally carry per-op latency percentiles and the per-layer time
+  breakdown.
 """
 
 from __future__ import annotations
@@ -125,22 +126,19 @@ def format_breakdown_table(
 def results_document(
     results: Sequence[object],
     meta: Optional[Dict[str, object]] = None,
+    schema: str = RESULTS_SCHEMA,
 ) -> Dict[str, object]:
-    """Versioned machine-readable document for a list of BenchResults."""
+    """The versioned ``{schema, meta, results}`` document of every bench
+    target; ``results`` are records with ``to_dict()`` or ready rows."""
     return {
-        "schema": RESULTS_SCHEMA,
+        "schema": schema,
         "meta": dict(meta) if meta else {},
-        "results": [r.to_dict() for r in results],
+        "results": [r if isinstance(r, dict) else r.to_dict() for r in results],
     }
 
 
-def write_results_json(
-    path: str,
-    results: Sequence[object],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``results_document`` to ``path``; returns the document."""
-    doc = results_document(results, meta)
+def write_json(path: str, doc: Dict[str, object]) -> Dict[str, object]:
+    """Write ``doc`` to ``path`` (sorted keys, indented); returns it."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -23,8 +23,6 @@ apart is decoration, not observability.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -239,6 +237,9 @@ class SloRunResult:
     def workload(self) -> str:
         return str(self.row["workload"])
 
+    def to_dict(self) -> Dict[str, object]:
+        return dict(self.row)
+
 
 def _slo_row(
     scenario: str, base, telemetry: Telemetry, config: SloConfig
@@ -309,19 +310,19 @@ def run_slo(config: SloConfig) -> List[SloRunResult]:
 
 
 # ----------------------------------------------------------------------
-# gate + documents
+# the gate's invariant
 # ----------------------------------------------------------------------
 
 
-def check_discrimination(results: Sequence[SloRunResult]) -> List[str]:
+def check_discrimination(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The alerting layer's reason to exist, as gate failures.
 
-    Untuned variants must fire >= 1 fast-burn alert; tuned variants must
-    fire none at all. Returns human-readable problems (empty = pass).
+    ``rows`` are ``repro.slo/1`` result rows. Untuned variants must fire
+    >= 1 fast-burn alert; tuned variants must fire none at all. Returns
+    human-readable problems (empty = pass).
     """
     problems = []
-    for result in results:
-        row = result.row
+    for row in rows:
         if row["workload"] in _UNTUNED and row["fast_burn_alerts"] < 1:
             problems.append(
                 f"{row['workload']}: expected >= 1 fast-burn alert, got 0 "
@@ -333,49 +334,6 @@ def check_discrimination(results: Sequence[SloRunResult]) -> List[str]:
                 f"{row['alerts_total']} (the tuned run should hold its SLOs)"
             )
     return problems
-
-
-def slo_document(
-    results: Sequence[SloRunResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The versioned ``repro.slo/1`` gate document."""
-    return {
-        "schema": SLO_SCHEMA,
-        "meta": dict(meta) if meta else {},
-        "results": [dict(r.row) for r in results],
-    }
-
-
-def write_slo_json(
-    path: str,
-    results: Sequence[SloRunResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    doc = slo_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-def write_timeseries_json(
-    path: str,
-    result: SloRunResult,
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """One variant's ``repro.timeseries/1`` document to ``path``."""
-    doc = result.telemetry.sampler.document(meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +458,7 @@ def render_dashboard(result: SloRunResult, width: int = 60) -> str:
 def render_slo(results: Sequence[SloRunResult], width: int = 60) -> str:
     """Dashboards for every variant plus the discrimination verdict."""
     blocks = [render_dashboard(r, width=width) for r in results]
-    problems = check_discrimination(results)
+    problems = check_discrimination([r.row for r in results])
     if problems:
         blocks.append("\n".join(["alert discrimination: FAIL"] +
                                 [f"  {p}" for p in problems]))

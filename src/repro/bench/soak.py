@@ -38,12 +38,10 @@ asserts it strictly improves the spike metrics over stock behaviour.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.baselines.registry import make_store
 from repro.bench.harness import ScaledConfig
@@ -375,34 +373,6 @@ def run_soak_pair(config: SoakConfig) -> List[SoakResult]:
         dynamic_slowdown=False,
     )
     return [run_soak(untuned), run_soak(tuned_variant(config))]
-
-
-def soak_document(
-    results: Sequence[SoakResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The versioned ``repro.soak/1`` document for a set of soak runs."""
-    return {
-        "schema": SOAK_SCHEMA,
-        "meta": dict(meta) if meta else {},
-        "results": [r.to_dict() for r in results],
-    }
-
-
-def write_soak_json(
-    path: str,
-    results: Sequence[SoakResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``soak_document`` to ``path``; returns the document."""
-    doc = soak_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def _cause_summary(stall_ns: Dict[str, int]) -> str:

@@ -29,8 +29,6 @@ from repro.serve.bench import (
     render_timeline,
     run_serve,
     run_serve_pair,
-    serve_document,
-    write_serve_json,
 )
 from repro.serve.cluster import ClusterConfig, ServeCluster, Shard, TenantStats
 from repro.serve.loadgen import (
@@ -57,8 +55,6 @@ __all__ = [
     "render_timeline",
     "run_serve",
     "run_serve_pair",
-    "serve_document",
-    "write_serve_json",
     "ClusterConfig",
     "ServeCluster",
     "Shard",

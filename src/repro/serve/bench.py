@@ -25,11 +25,9 @@ serve gate asserts it beats the untuned cluster on worst-tenant p99.9.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.obs.metrics import WindowedHistogram
 from repro.serve.cluster import ClusterConfig, ServeCluster
@@ -422,34 +420,6 @@ def run_serve_pair(config: ServeConfig) -> List[ServeResult]:
         dynamic_slowdown=False,
     )
     return [run_serve(untuned), run_serve(fair_variant(config))]
-
-
-def serve_document(
-    results: Sequence[ServeResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The versioned ``repro.serve/1`` document for a set of runs."""
-    return {
-        "schema": SERVE_SCHEMA,
-        "meta": dict(meta) if meta else {},
-        "results": [r.to_dict() for r in results],
-    }
-
-
-def write_serve_json(
-    path: str,
-    results: Sequence[ServeResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``serve_document`` to ``path``; returns the document."""
-    doc = serve_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def render_timeline(result: ServeResult, width: int = 40) -> str:

@@ -29,9 +29,10 @@ def test_table1_subset():
 
 
 def test_render_helpers_produce_tables():
-    text = figures.render_fig4(
+    series = figures.fig4(
         "readseq", stores=["noblsm"], value_sizes=[256], scale=20_000
     )
+    text = figures.render_fig4("readseq", series)
     assert "Figure 4c" in text
     assert "noblsm" in text
 

@@ -6,13 +6,8 @@ import json
 import pytest
 
 from repro.bench import cli
-from repro.bench.compare import (
-    DEFAULT_METRICS,
-    compare_documents,
-    parse_thresholds,
-    render_compare,
-    row_key,
-)
+from repro.bench.compare import compare_documents, render_compare, row_key
+from repro.bench.targets import TARGETS
 
 
 def make_doc(us_per_op=10.0, put_p99=40.0, stall_ns=0, syncs=100,
@@ -86,29 +81,12 @@ def test_new_rows_are_not_gated():
     assert len(report.new_rows) == 1
 
 
-def test_threshold_override_loosens_gate():
-    base = make_doc(us_per_op=10.0)
-    cur = make_doc(us_per_op=11.5)
-    assert not compare_documents(base, cur).passed
-    report = compare_documents(base, cur, thresholds={"us_per_op": 0.25})
-    assert report.passed
-
-
 def test_improvements_never_regress():
     base = make_doc(us_per_op=10.0, put_p99=40.0, syncs=100)
     cur = make_doc(us_per_op=5.0, put_p99=20.0, syncs=50)
     report = compare_documents(base, cur)
     assert report.passed
     assert all(d.ratio <= 1.0 for d in report.deltas)
-
-
-def test_parse_thresholds():
-    assert parse_thresholds(None) is None
-    assert parse_thresholds("") is None
-    assert parse_thresholds("us_per_op=0.2") == {"us_per_op": 0.2}
-    assert parse_thresholds("a=0.1, b=0.5") == {"a": 0.1, "b": 0.5}
-    with pytest.raises(ValueError):
-        parse_thresholds("us_per_op")
 
 
 def test_schema_mismatch_rejected():
@@ -125,7 +103,8 @@ def test_row_key_includes_parallelism_extras():
 
 
 def test_default_metrics_all_have_floors():
-    assert all(m.floor > 0 for m in DEFAULT_METRICS)
+    metrics = [m for t in TARGETS.values() for m in t.metrics]
+    assert metrics and all(m.floor > 0 for m in metrics)
 
 
 # ----------------------------------------------------------------------
@@ -150,14 +129,6 @@ def test_cli_compare_regression_exits_nonzero(tmp_path, capsys):
     cur = write_doc(tmp_path / "cur.json", make_doc(us_per_op=11.5))
     assert cli.main(["compare", base, cur]) == 1
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_cli_compare_honours_threshold_override(tmp_path):
-    base = write_doc(tmp_path / "base.json", make_doc(us_per_op=10.0))
-    cur = write_doc(tmp_path / "cur.json", make_doc(us_per_op=11.5))
-    assert cli.main(
-        ["compare", base, cur, "--thresholds", "us_per_op=0.25"]
-    ) == 0
 
 
 def test_cli_compare_needs_two_paths(capsys):

@@ -14,12 +14,8 @@ import re
 
 import pytest
 
-from repro.bench.compare import (
-    SLO_METRICS,
-    SLO_SCHEMA as COMPARE_SLO_SCHEMA,
-    compare_documents,
-    report_payload,
-)
+from repro.bench.compare import compare_documents, report_payload
+from repro.bench.report import results_document, write_json
 from repro.bench.slo import (
     SLO_SCHEMA,
     SloConfig,
@@ -28,10 +24,8 @@ from repro.bench.slo import (
     render_dashboard,
     render_slo,
     run_slo,
-    slo_document,
-    write_slo_json,
-    write_timeseries_json,
 )
+from repro.bench.targets import METRICS_BY_SCHEMA, SLO_METRICS
 from repro.bench.soak import SoakConfig
 from repro.serve.bench import ServeConfig, run_serve
 
@@ -50,6 +44,10 @@ SMALL_SERVE = ServeConfig(
 #: shed burst. Deterministic for this config + seed; a change here is a
 #: behaviour change and must be explained, not waved through.
 FIRST_FAST_BURN_NS = 54_000_000
+
+
+def slo_document(results, meta=None):
+    return results_document(results, meta, SLO_SCHEMA)
 
 
 def small_config():
@@ -88,22 +86,16 @@ def test_fair_twin_fires_nothing(pair):
 
 
 def test_discrimination_check_passes_and_fails_correctly(pair):
-    assert check_discrimination(pair) == []
+    assert check_discrimination([r.row for r in pair]) == []
     # strip the untuned run's alerts -> the recorder failed its job
     muted = copy.deepcopy(pair[0].row)
     muted["fast_burn_alerts"] = 0
-
-    class FakeResult:
-        def __init__(self, row):
-            self.row = row
-            self.workload = row["workload"]
-
-    problems = check_discrimination([FakeResult(muted)])
+    problems = check_discrimination([muted])
     assert len(problems) == 1 and "fast-burn" in problems[0]
     # an alert on the tuned twin is equally a failure
     noisy = copy.deepcopy(pair[1].row)
     noisy["alerts_total"] = 2
-    problems = check_discrimination([FakeResult(noisy)])
+    problems = check_discrimination([noisy])
     assert len(problems) == 1 and "0 alerts" in problems[0]
 
 
@@ -141,7 +133,7 @@ def test_expected_health_series_exist(pair):
 
 def test_slo_document_shape_and_round_trip(pair):
     doc = slo_document(pair, {"target": "slo"})
-    assert doc["schema"] == SLO_SCHEMA == COMPARE_SLO_SCHEMA
+    assert doc["schema"] == SLO_SCHEMA and SLO_SCHEMA in METRICS_BY_SCHEMA
     assert [r["workload"] for r in doc["results"]] == ["serve", "serve-fair"]
     for row in doc["results"]:
         assert {"alerts_total", "fast_burn_alerts", "bad_events",
@@ -173,10 +165,12 @@ def test_documents_are_deterministic():
 
 def test_write_json_files(tmp_path, pair):
     slo_path = tmp_path / "slo.json"
-    doc = write_slo_json(str(slo_path), pair, {"target": "slo"})
+    doc = write_json(str(slo_path), slo_document(pair, {"target": "slo"}))
     assert json.loads(slo_path.read_text()) == doc
     ts_path = tmp_path / "timeseries-serve.json"
-    ts_doc = write_timeseries_json(str(ts_path), pair[0], {"w": "serve"})
+    ts_doc = write_json(
+        str(ts_path), pair[0].telemetry.sampler.document({"w": "serve"})
+    )
     on_disk = json.loads(ts_path.read_text())
     assert on_disk == ts_doc
     assert on_disk["schema"] == "repro.timeseries/1"

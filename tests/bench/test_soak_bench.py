@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.compare import SOAK_METRICS, compare_documents
+from repro.bench.compare import compare_documents
+from repro.bench.report import results_document, write_json
 from repro.bench.soak import (
     SOAK_SCHEMA,
     SoakConfig,
@@ -18,13 +19,16 @@ from repro.bench.soak import (
     render_timeline,
     run_soak,
     run_soak_pair,
-    soak_document,
     tuned_variant,
-    write_soak_json,
 )
+from repro.bench.targets import SOAK_METRICS
 
 #: small enough for the suite, long enough to reach the spike regime
 SMALL = SoakConfig(duration_s=0.15, arrival_rate=40_000.0, window_ms=25.0)
+
+
+def soak_document(results, meta=None):
+    return results_document(results, meta, SOAK_SCHEMA)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +113,7 @@ def test_soak_document_schema(pair):
 
 def test_write_soak_json_roundtrip(pair, tmp_path):
     path = tmp_path / "soak.json"
-    doc = write_soak_json(str(path), pair)
+    doc = write_json(str(path), soak_document(pair))
     assert json.loads(path.read_text()) == doc
 
 

@@ -15,7 +15,7 @@ from repro.bench.report import (
     format_breakdown_table,
     format_latency_table,
     results_document,
-    write_results_json,
+    write_json,
 )
 from repro.obs.export import SCHEMA
 
@@ -72,7 +72,9 @@ def test_obs_document_is_valid_and_serializable():
 def test_results_json_document(tmp_path):
     result = run_workload("fillrandom", "noblsm", _config(observe=True))
     path = tmp_path / "results.json"
-    doc = write_results_json(str(path), [result], meta={"suite": "unit"})
+    doc = write_json(
+        str(path), results_document([result], meta={"suite": "unit"})
+    )
     assert doc["schema"] == RESULTS_SCHEMA
     on_disk = json.loads(path.read_text())
     assert on_disk["meta"] == {"suite": "unit"}

@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from repro.bench.compare import SERVE_METRICS, compare_documents
+from repro.bench.compare import compare_documents
+from repro.bench.report import results_document, write_json
+from repro.bench.targets import SERVE_METRICS
 from repro.serve.bench import (
     SERVE_SCHEMA,
     ServeConfig,
@@ -22,8 +24,6 @@ from repro.serve.bench import (
     render_timeline,
     run_serve,
     run_serve_pair,
-    serve_document,
-    write_serve_json,
 )
 
 #: hot enough that the untuned hot shard queues *and* sheds, small
@@ -106,6 +106,10 @@ def test_accounting_adds_up(pair):
             assert 0 < sum(w["shed"] for w in result.windows) <= result.shed
 
 
+def serve_document(results, meta=None):
+    return results_document(results, meta, SERVE_SCHEMA)
+
+
 def test_document_schema_and_shape(pair):
     doc = serve_document(pair, meta={"k": "v"})
     assert doc["schema"] == SERVE_SCHEMA
@@ -169,7 +173,7 @@ def test_compare_gate_accepts_and_gates_serve_documents(pair):
 
 def test_write_serve_json_round_trip(tmp_path, pair):
     path = tmp_path / "serve.json"
-    doc = write_serve_json(str(path), pair, meta={"rate": 90_000})
+    doc = write_json(str(path), serve_document(pair, meta={"rate": 90_000}))
     on_disk = json.loads(path.read_text())
     assert on_disk == json.loads(json.dumps(doc))
     assert on_disk["schema"] == SERVE_SCHEMA
