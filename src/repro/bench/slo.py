@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.ascii_plot import sparkline
-from repro.bench.soak import SoakConfig, run_soak, tuned_variant
-from repro.lsm.db import PRESSURE_CODES
+from repro.bench.soak import SoakConfig, run_soak
+from repro.lsm.pressure import PRESSURE_CODES
 from repro.obs.metrics import MetricRegistry
 from repro.obs.slo import (
     AVAILABILITY,
@@ -40,7 +40,7 @@ from repro.obs.slo import (
     default_burn_rules,
 )
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.serve.bench import ServeConfig, fair_variant, run_serve
+from repro.serve.bench import ServeConfig, run_serve
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventQueue
 
@@ -126,15 +126,16 @@ class Telemetry:
     def _add_store_probes(self, name: str, db, stack) -> None:
         """Health levels of one store: debt, pressure, tokens, garbage."""
         sampler = self.sampler
+        pressure = db.pressure
         sampler.add_probe(
             f"{name}.pressure",
-            lambda at, d=db: float(PRESSURE_CODES[d.write_pressure()]),
+            lambda at, p=pressure: float(PRESSURE_CODES[p.state()]),
         )
         sampler.add_probe(
             f"{name}.debt_bytes",
-            lambda at, d=db: float(d.compaction_debt_bytes()),
+            lambda at, p=pressure: float(p.debt_bytes()),
         )
-        limiter = getattr(db, "_ratelimiter", None)
+        limiter = pressure.limiter
         if limiter is not None:
             sampler.add_probe(
                 f"{name}.ratelimit_tokens",
@@ -274,24 +275,16 @@ def _slo_row(
 def run_slo(config: SloConfig) -> List[SloRunResult]:
     """Run the scenario pair (untuned, tuned) with telemetry attached."""
     if config.scenario == "serve":
-        untuned = replace(
-            config.serve,
-            compaction_rate_bytes_per_sec=0,
-            compaction_rate_burst_bytes=0,
-            compaction_rate_fair=False,
-            dynamic_slowdown=False,
-        )
-        variants = [untuned, fair_variant(config.serve)]
+        variants = [
+            replace(config.serve, fair=False),
+            replace(config.serve, fair=True),
+        ]
         runner = run_serve
     elif config.scenario == "soak":
-        untuned = replace(
-            config.soak,
-            compaction_rate_bytes_per_sec=0,
-            compaction_rate_burst_bytes=0,
-            compaction_rate_fair=False,
-            dynamic_slowdown=False,
-        )
-        variants = [untuned, tuned_variant(config.soak)]
+        variants = [
+            replace(config.soak, tuned=False),
+            replace(config.soak, tuned=True),
+        ]
         runner = run_soak
     else:
         raise ValueError(f"unknown scenario {config.scenario!r}")

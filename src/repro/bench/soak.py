@@ -30,9 +30,9 @@ The headline stability metrics (all lower is better):
 
 Documents use the versioned ``repro.soak/1`` schema and are gated by
 :mod:`repro.bench.compare` exactly like the throughput baselines. The
-``tuned`` variant enables the performance-stability machinery of this
-package — the compaction rate limiter in fair mode
-(:mod:`repro.lsm.ratelimit`) plus dynamic slowdown — and the soak gate
+``tuned`` variant (``SoakConfig.tuned``) sizes the store's stability
+tuning (:mod:`repro.lsm.pressure`: the compaction rate limiter in fair
+mode plus dynamic slowdown) to the soak's ingest, and the soak gate
 asserts it strictly improves the spike metrics over stock behaviour.
 """
 
@@ -46,19 +46,17 @@ from typing import Dict, List, Sequence
 from repro.baselines.registry import make_store
 from repro.bench.harness import ScaledConfig
 from repro.bench.workloads import ValueGenerator, make_key
+from repro.lsm import pressure
 from repro.sim.clock import to_micros
 
 SOAK_SCHEMA = "repro.soak/1"
 
 NS_PER_SEC = 1_000_000_000
 
-#: stall causes in rendering order (matches the ``lsm.write_stall`` labels)
-STALL_CAUSES = ("l0_slowdown", "memtable_full", "l0_stop", "major_deferred")
-
 
 @dataclass
 class SoakConfig:
-    """One soak run: workload shape + stability tuning knobs."""
+    """One soak run: workload shape + whether stability tuning is on."""
 
     store: str = "noblsm"
     scale: float = 2000.0
@@ -76,11 +74,8 @@ class SoakConfig:
     window_ms: float = 25.0
     num_channels: int = 1
     background_threads: int = 1
-    # --- stability tuning (the "tuned" soak variant) ---
-    compaction_rate_bytes_per_sec: int = 0
-    compaction_rate_burst_bytes: int = 0
-    compaction_rate_fair: bool = False
-    dynamic_slowdown: bool = False
+    #: the "soak-tuned" variant: stability tuning sized to the ingest
+    tuned: bool = False
 
     @property
     def window_ns(self) -> int:
@@ -95,40 +90,13 @@ class SoakConfig:
         return max(int(self.arrival_rate * self.duration_s), 1)
 
     @property
-    def tuned(self) -> bool:
-        return (
-            self.compaction_rate_bytes_per_sec > 0 or self.dynamic_slowdown
-        )
+    def ingest_bytes_per_sec(self) -> int:
+        """Sustained user-data ingest: ``arrival_rate * (key + value)``."""
+        return int(self.arrival_rate * (self.key_size + self.value_size))
 
     @property
     def variant(self) -> str:
         return "soak-tuned" if self.tuned else "soak"
-
-
-def tuned_variant(config: SoakConfig) -> SoakConfig:
-    """The stability-tuned twin of ``config`` (same workload, same seed).
-
-    The rate cap is sized relative to the workload: sustained user-data
-    ingest is ``arrival_rate * (key + value)`` bytes/s and leveling
-    write amplification multiplies that several-fold (~10x at this
-    tree shape), so the cap is set at 14x ingest — enough budget to keep
-    up with steady-state demand while holding back the deep-major
-    bursts that produce the spike windows. Fair mode exempts L0->L1 drains
-    (and picks them first under L0 pressure), and dynamic slowdown
-    replaces the fixed 1 ms writer delay with a debt-scaled ramp.
-    """
-    ingest = int(
-        config.arrival_rate * (config.key_size + config.value_size)
-    )
-    return replace(
-        config,
-        compaction_rate_bytes_per_sec=14 * ingest,
-        # a shallow bucket (~100 ms of ingest) so deep-major *bursts*
-        # are spread even though the average rate never binds
-        compaction_rate_burst_bytes=ingest // 10,
-        compaction_rate_fair=True,
-        dynamic_slowdown=True,
-    )
 
 
 @dataclass
@@ -254,10 +222,8 @@ def run_soak(config: SoakConfig, telemetry=None) -> SoakResult:
     )
     stack = scaled.build_stack()
     options = scaled.build_options()
-    options.compaction_rate_bytes_per_sec = config.compaction_rate_bytes_per_sec
-    options.compaction_rate_burst_bytes = config.compaction_rate_burst_bytes
-    options.compaction_rate_fair = config.compaction_rate_fair
-    options.dynamic_slowdown = config.dynamic_slowdown
+    if config.tuned:
+        options.stability_ingest_bytes_per_sec = config.ingest_bytes_per_sec
     db = make_store(config.store, stack, "db", options=options)
     if telemetry is not None:
         telemetry.on_stack(stack, db)
@@ -355,7 +321,7 @@ def run_soak(config: SoakConfig, telemetry=None) -> SoakResult:
     result.slowdown_ns = db.stats.slowdown_ns
     result.l0_stop_abandoned = db.stats.l0_stop_abandoned
     result.stall_cause_ns = stall_cause_ns
-    limiter = getattr(db, "_ratelimiter", None)
+    limiter = db.pressure.limiter
     if limiter is not None:
         result.throttled_jobs = limiter.throttled_jobs
         result.held_jobs = limiter.held_jobs
@@ -365,19 +331,15 @@ def run_soak(config: SoakConfig, telemetry=None) -> SoakResult:
 
 def run_soak_pair(config: SoakConfig) -> List[SoakResult]:
     """Run the untuned soak and its stability-tuned twin (same seed)."""
-    untuned = replace(
-        config,
-        compaction_rate_bytes_per_sec=0,
-        compaction_rate_burst_bytes=0,
-        compaction_rate_fair=False,
-        dynamic_slowdown=False,
-    )
-    return [run_soak(untuned), run_soak(tuned_variant(config))]
+    return [
+        run_soak(replace(config, tuned=False)),
+        run_soak(replace(config, tuned=True)),
+    ]
 
 
 def _cause_summary(stall_ns: Dict[str, int]) -> str:
     parts = []
-    for cause in STALL_CAUSES:
+    for cause in pressure.STALL_CAUSES:
         ns = stall_ns.get(cause, 0)
         if ns:
             parts.append(f"{cause.split('_')[-1][:4]}:{ns / 1e6:.1f}ms")

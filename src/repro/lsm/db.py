@@ -10,7 +10,8 @@
 - level scores trigger *major compactions* (merge-sort inputs, write new
   tables, log a version edit); read misses trigger *seek compactions*;
 - writers observe LevelDB's stalls: the 1 ms L0 slowdown, the sealed-
-  memtable wait, and the L0 stop trigger.
+  memtable wait, and the L0 stop trigger, all decided by the store's
+  :class:`~repro.lsm.pressure.WritePressure` controller.
 
 Background work is pulled lazily (see :mod:`repro.lsm.background`): the
 memtable dump always has priority, size compactions run as virtual time
@@ -60,24 +61,21 @@ from repro.lsm.iterator import (
 )
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
-from repro.lsm.ratelimit import CompactionRateLimiter
+from repro.lsm.pressure import (  # noqa: F401 (the states are re-exported)
+    L0_SLOWDOWN,
+    L0_STOP,
+    MAJOR_DEFERRED,
+    MEMTABLE_FULL,
+    PRESSURE_OK,
+    PRESSURE_SLOWDOWN,
+    PRESSURE_STOP,
+    WritePressure,
+)
 from repro.lsm.sstable import TableBuilder
 from repro.obs.spans import NULL_SPAN, Span
 from repro.lsm.tablecache import TableCache
 from repro.lsm.version import FileMetaData, VersionEdit, VersionSet
 from repro.lsm.wal import BatchEntry, LogReader, LogWriter
-
-MILLISECOND = 1_000_000
-
-#: :meth:`DB.write_pressure` states, in increasing severity — the
-#: admission-control view of LevelDB's write-path triggers.
-PRESSURE_OK = "ok"
-PRESSURE_SLOWDOWN = "slowdown"
-PRESSURE_STOP = "stop"
-
-#: numeric encoding of the pressure states for the ``db.write_pressure``
-#: gauge (monotone in severity, so a sampled series is readable)
-PRESSURE_CODES = {PRESSURE_OK: 0, PRESSURE_SLOWDOWN: 1, PRESSURE_STOP: 2}
 
 #: (ready_time, work_fn) — a pulled background job
 BackgroundJob = Tuple[int, Callable[[int], int]]
@@ -129,8 +127,9 @@ class DBStats:
     dump) and ``stall_l0_stop_ns`` (the L0 stop trigger), so
     ``stall_ns == stall_memtable_ns + stall_l0_stop_ns`` always holds.
     The L0 slowdown (LevelDB's 1 ms sleep, or the dynamic delay when
-    ``Options.dynamic_slowdown`` is on) is a *soft* delay and is kept
-    separate in ``slowdown_ns`` — LevelDB itself distinguishes the two.
+    ``Options.stability_ingest_bytes_per_sec`` is set) is a *soft* delay
+    and is kept separate in ``slowdown_ns`` — LevelDB itself
+    distinguishes the two.
     Consumers that want "time the writer was not making progress" must
     use the unified :attr:`blocked_ns` total (= stall + slowdown); the
     soak harness and the compare gate do.
@@ -245,19 +244,10 @@ class DB:
         self._imm_trace_count = 0
         self._wal_bytes_total = 0
         self._wal_records_total = 0
-        #: last write_pressure() state, for the transition counters
-        self._last_pressure = PRESSURE_OK
         if self._observe:
             self.obs.register_source(f"db.{dbname}", self._obs_snapshot)
             self._put_hist = self.obs.histogram("db.put_ns")
             self._get_hist = self.obs.histogram("db.get_ns")
-            self._stall_slowdown = self.obs.counter("db.stall.l0_slowdown_ns")
-            self._stall_memtable = self.obs.counter("db.stall.memtable_wait_ns")
-            self._stall_l0_stop = self.obs.counter("db.stall.l0_stop_ns")
-            self._pressure_gauge = self.obs.gauge("db.write_pressure")
-            self._pressure_transitions = self.obs.counter(
-                "db.write_pressure.transitions"
-            )
         self.table_cache = TableCache(
             self.fs, dbname, block_cache_bytes=self.options.block_cache_bytes
         )
@@ -270,19 +260,10 @@ class DB:
         )
         #: open virtual-time spans of concurrent compactions (threads > 1)
         self._schedule = CompactionSchedule()
-        #: token-bucket shaping of major-compaction bandwidth; ``None``
-        #: (the default) keeps the seed's unthrottled behaviour
-        self._ratelimiter: Optional[CompactionRateLimiter] = None
-        if self.options.compaction_rate_bytes_per_sec > 0:
-            self._ratelimiter = CompactionRateLimiter(
-                self.options.compaction_rate_bytes_per_sec,
-                self.options.compaction_rate_burst_bytes,
-                fair=self.options.compaction_rate_fair,
-            )
-            if self._observe:
-                self.obs.register_source(
-                    f"db.{dbname}.ratelimit", self._ratelimiter.snapshot
-                )
+        #: the L0/memtable triggers, stall charging, compaction admission
+        self.pressure = WritePressure(
+            self.options, self.versions, self.stats, self.bg, self.obs, dbname
+        )
         self.mem = MemTable()
         self._wal: Optional[LogWriter] = None
         self._wal_number = 0
@@ -438,65 +419,6 @@ class DB:
     # background scheduling (pull model)
     # ------------------------------------------------------------------
 
-    def _l0_live_count(self) -> int:
-        return sum(1 for f in self.versions.current.files[0] if not f.shadow)
-
-    def write_pressure(self) -> str:
-        """Admission-control view of the write path, without writing.
-
-        Returns one of :data:`PRESSURE_OK` / :data:`PRESSURE_SLOWDOWN` /
-        :data:`PRESSURE_STOP` — the state ``_make_room`` *would* put the
-        next writer into, derived from the same triggers (live L0 count
-        vs the slowdown/stop thresholds, plus a sealed memtable still
-        awaiting its dump). A serving layer consults this before
-        dispatching a request, so it can queue or shed at the front door
-        instead of parking every client on a stalled writer; the
-        distinction matters because an L0 *stop* blocks the writer for a
-        compaction's worth of virtual time while a *slowdown* only
-        injects a bounded delay.
-        """
-        l0_count = self._l0_live_count()
-        if l0_count >= self.options.l0_stop_writes_trigger:
-            state = PRESSURE_STOP
-        elif (
-            l0_count >= self.options.l0_slowdown_writes_trigger
-            or self._pending_imm is not None
-        ):
-            state = PRESSURE_SLOWDOWN
-        else:
-            state = PRESSURE_OK
-        if self._observe:
-            self._pressure_gauge.set(PRESSURE_CODES[state])
-            if state != self._last_pressure:
-                self._pressure_transitions.inc()
-                self.obs.counter(f"db.write_pressure.enter_{state}").inc()
-        self._last_pressure = state
-        return state
-
-    def compaction_debt_bytes(self) -> int:
-        """Bytes of compaction work currently owed by the tree.
-
-        The health signal behind the pressure states, as a magnitude:
-        L0 owes its whole live pile once the file count reaches the
-        compaction trigger (all of it must move to L1 before the
-        triggers relax), and every deeper level owes whatever it holds
-        beyond its target size — the same quantities
-        :meth:`~repro.lsm.version.Version.level_score` scores, in bytes
-        so a sampled series is comparable across levels.
-        """
-        version = self.versions.current
-        debt = 0
-        live_l0 = [f for f in version.files[0] if not f.shadow]
-        if len(live_l0) >= self.options.l0_compaction_trigger:
-            debt += sum(f.file_size for f in live_l0)
-        for level in range(1, self.options.num_levels - 1):
-            over = version.level_bytes(level) - int(
-                self.options.max_bytes_for_level(level)
-            )
-            if over > 0:
-                debt += over
-        return debt
-
     def _pick_background_work(
         self, horizon: Optional[int] = None
     ) -> Optional[BackgroundJob]:
@@ -525,7 +447,7 @@ class DB:
                 self._pending_seek = None
                 return None
             ready = self._deferred_ready(seek, ready)
-            admitted = self._admit_major(seek, ready, horizon)
+            admitted = self.pressure.admit(seek, ready, horizon)
             if admitted is None:
                 return None  # throttled past the horizon; retry later
             self._pending_seek = None
@@ -550,18 +472,18 @@ class DB:
         its ready time pushed to the conflict's clearance — never
         dropped, never reordered past the dependency.
         """
+        pressure = self.pressure
         if self.bg.num_threads == 1:
             compaction = self._fair_override(self._pick_size_compaction())
             if compaction is None:
                 return None
             ready = 0
-            if self._ratelimiter is not None:
-                admitted = self._admit_major(
+            if pressure.limiter is not None:
+                ready = pressure.admit(
                     compaction, self.bg.next_start(0), horizon
                 )
-                if admitted is None:
+                if ready is None:
                     return None
-                ready = admitted
             return ready, (
                 lambda start, c=compaction: self._major_compaction_work(c, start)
             )
@@ -575,13 +497,10 @@ class DB:
             )
             if clearance is None:
                 ready = 0
-                if self._ratelimiter is not None:
-                    admitted = self._admit_major(
-                        compaction, start_hint, horizon
-                    )
-                    if admitted is None:
+                if pressure.limiter is not None:
+                    ready = pressure.admit(compaction, start_hint, horizon)
+                    if ready is None:
                         continue  # throttled past the horizon; next candidate
-                    ready = admitted
                 return ready, (
                     lambda start, c=compaction: self._major_compaction_work(
                         c, start
@@ -592,18 +511,10 @@ class DB:
         if best is None:
             return None
         clearance, compaction = best
-        admitted = self._admit_major(compaction, clearance, horizon)
+        admitted = pressure.admit(compaction, clearance, horizon)
         if admitted is None:
             return None  # throttled past the horizon; retry later
-        self._schedule.note_deferral()
-        if self._observe and clearance > start_hint:
-            self.obs.start_span(
-                "lsm.write_stall",
-                start_hint,
-                cause="major_deferred",
-                level=compaction.level,
-                output_level=compaction.output_level,
-            ).end(clearance)
+        self._note_deferral(compaction, start_hint, clearance)
         return admitted, (
             lambda start, c=compaction: self._major_compaction_work(c, start)
         )
@@ -630,7 +541,8 @@ class DB:
             ),
             key=lambda level: (-self.versions.level_score(level), level),
         )
-        if self._fair_l0_pressure() and 0 in levels:
+        pressure = self.pressure
+        if pressure.limiter is not None and pressure.urgent() and 0 in levels:
             # fair mode: the L0 drain goes first even when a deeper
             # level's score is higher — it is what unblocks writers
             levels.remove(0)
@@ -654,24 +566,18 @@ class DB:
         if clearance is None:
             return ready
         if clearance > ready:
-            self._schedule.note_deferral()
-            if self._observe and clearance > start_hint:
-                self.obs.start_span(
-                    "lsm.write_stall",
-                    start_hint,
-                    cause="major_deferred",
-                    level=compaction.level,
-                    output_level=compaction.output_level,
-                ).end(clearance)
+            self._note_deferral(compaction, start_hint, clearance)
         return max(ready, clearance)
 
-    def _fair_l0_pressure(self) -> bool:
-        """True when fair-mode scheduling should prioritize the L0 drain."""
-        limiter = self._ratelimiter
-        return (
-            limiter is not None
-            and limiter.fair
-            and self._l0_live_count() >= self.options.l0_compaction_trigger
+    def _note_deferral(self, compaction: Compaction, start, end) -> None:
+        """Count a conflict deferral; observed runs get a span for it."""
+        self._schedule.note_deferral()
+        self.pressure.charge(
+            MAJOR_DEFERRED,
+            start,
+            end,
+            level=compaction.level,
+            output_level=compaction.output_level,
         )
 
     def _fair_override(self, compaction: Optional[Compaction]) -> Optional[Compaction]:
@@ -685,58 +591,10 @@ class DB:
         """
         if compaction is not None and compaction.level == 0:
             return compaction
-        if not self._fair_l0_pressure():
+        if self.pressure.limiter is None or not self.pressure.urgent():
             return compaction
         l0 = pick_size_compaction(self.versions, self.options, level=0)
         return l0 if l0 is not None else compaction
-
-    def _admit_major(
-        self,
-        compaction: Compaction,
-        ready: int,
-        horizon: Optional[int] = None,
-    ) -> Optional[int]:
-        """Consult the compaction rate limiter for a major's start time.
-
-        Without a limiter this is the identity. With one, the job's
-        ready time is pushed until the token bucket covers its input
-        bytes; in fair mode an L0->L1 compaction bypasses the delay
-        whenever ``l0_live_count`` has reached the compaction trigger —
-        i.e. whenever L0 is on its way toward the slowdown trigger —
-        because shaping deep-level bandwidth must never starve the work
-        that unblocks writers (urgent jobs still debit the bucket, so
-        deep-level work pays for them).
-
-        With a ``horizon``, a job whose admitted start would land beyond
-        it returns ``None`` — *held back*, tokens untouched — so eager
-        dispatch never parks a throttled major on a worker's timeline
-        ahead of unthrottled work. Throttle time is attributed on the
-        executor (``bg.throttle_ns``) and, when observing, the
-        ``db.compaction.throttle_ns`` counter.
-        """
-        limiter = self._ratelimiter
-        if limiter is None:
-            return ready
-        urgent = (
-            limiter.fair
-            and compaction.level == 0
-            and self._l0_live_count() >= self.options.l0_compaction_trigger
-        )
-        if horizon is not None:
-            start = limiter.peek(ready, compaction.input_bytes, urgent=urgent)
-            if start > horizon:
-                limiter.note_held()
-                return None
-        admitted = limiter.admit(
-            ready, compaction.input_bytes, urgent=urgent
-        )
-        if admitted > ready:
-            self.bg.note_throttle(admitted - ready)
-            if self._observe:
-                self.obs.counter("db.compaction.throttle_ns").inc(
-                    admitted - ready
-                )
-        return admitted
 
     def _note_inflight(
         self,
@@ -897,45 +755,20 @@ class DB:
         if len(self._mem_trace_spans) < 32:
             self._mem_trace_spans.append(span)
 
-    def _note_stall(
-        self, cause: str, start: int, end: int, parent: Optional[Span] = None
-    ) -> None:
-        """Emit one ``lsm.write_stall`` span with its cause label.
-
-        The cause-labelled span is emitted for *every* observed run
-        (``--observe`` alone suffices); only the per-op ``stall.<cause>``
-        child segment additionally requires a tracer, because its parent
-        ``db.write`` span exists only when tracing.
-        """
-        if end <= start or not self._observe:
-            return
-        self.obs.start_span("lsm.write_stall", start, cause=cause).end(end)
-        if parent is not None:
-            parent.child("stall." + cause, start).end(end)
-
     def _make_room(self, at: int, span: Optional[Span] = None) -> int:
         """LevelDB's MakeRoomForWrite: stalls, switches, triggers."""
+        pressure = self.pressure
         t = at
         allow_delay = True
         while True:
-            l0_count = self._l0_live_count()
-            if (
-                allow_delay
-                and l0_count >= self.options.l0_slowdown_writes_trigger
-                and l0_count < self.options.l0_stop_writes_trigger
-            ):
-                if self.options.dynamic_slowdown:
-                    delay = self._dynamic_slowdown_ns(l0_count)
-                else:
-                    delay = MILLISECOND
-                t += delay
-                self.stats.slowdown_ns += delay
-                if self._observe:
-                    self._stall_slowdown.inc(delay)
-                self._note_stall("l0_slowdown", t - delay, t, span)
-                allow_delay = False
-                self._advance_background(t)
-                continue
+            if allow_delay:
+                delay = pressure.slowdown_ns()
+                if delay:
+                    pressure.charge(L0_SLOWDOWN, t, t + delay, span)
+                    t += delay
+                    allow_delay = False
+                    self._advance_background(t)
+                    continue
             if (
                 self.mem.approximate_memory_usage
                 < self.options.write_buffer_size
@@ -950,45 +783,18 @@ class DB:
                     if done is None:
                         break
                     resumed = max(resumed, done)
-                self.stats.stall_ns += resumed - t
-                self.stats.stall_memtable_ns += resumed - t
-                if self._observe:
-                    self._stall_memtable.inc(resumed - t)
-                self._note_stall("memtable_full", t, resumed, span)
+                pressure.charge(MEMTABLE_FULL, t, resumed, span)
                 t = resumed
                 continue
-            if l0_count >= self.options.l0_stop_writes_trigger:
+            if pressure.state() == PRESSURE_STOP:
                 resumed = self._wait_for_l0_drain(t)
-                self.stats.stall_ns += resumed - t
-                self.stats.stall_l0_stop_ns += resumed - t
-                if self._observe:
-                    self._stall_l0_stop.inc(resumed - t)
-                self._note_stall("l0_stop", t, resumed, span)
+                pressure.charge(L0_STOP, t, resumed, span)
                 t = resumed
                 continue
             seg = t
             t = self._switch_memtable(t)
             if span is not None and t > seg:
                 span.child("memtable.switch", seg).end(t)
-
-    def _dynamic_slowdown_ns(self, l0_count: int) -> int:
-        """RocksDB-style slowdown delay scaled to L0 debt.
-
-        The delay ramps quadratically from ``dynamic_slowdown_min_ns``
-        at the first file over the slowdown trigger to
-        ``dynamic_slowdown_max_ns`` just below the stop trigger: gentle
-        back-pressure early (cheap writes keep flowing) and aggressive
-        back-pressure late (background work gets virtual time *before*
-        the writer hits the hard L0 stop — the p99.9 killer).
-        """
-        opts = self.options
-        span_files = (
-            opts.l0_stop_writes_trigger - opts.l0_slowdown_writes_trigger
-        )
-        debt = l0_count - opts.l0_slowdown_writes_trigger + 1  # 1..span
-        lo = opts.dynamic_slowdown_min_ns
-        hi = opts.dynamic_slowdown_max_ns
-        return lo + (hi - lo) * debt * debt // (span_files * span_files)
 
     def _wait_for_l0_drain(self, at: int) -> int:
         """Blocked writer: run background jobs until L0 falls below stop.
@@ -1008,13 +814,13 @@ class DB:
         """
         t = at
         for _ in range(100_000):
-            if self._l0_live_count() < self.options.l0_stop_writes_trigger:
+            if self.pressure.state() != PRESSURE_STOP:
                 return t
             done = self._run_one_background_job()
             if done is None:
                 break
             t = max(t, done)
-        if self._l0_live_count() >= self.options.l0_stop_writes_trigger:
+        if self.pressure.state() == PRESSURE_STOP:
             self.stats.l0_stop_abandoned += 1
             if self._observe:
                 self.obs.counter("db.stall.l0_stop_abandoned").inc()
@@ -1045,6 +851,7 @@ class DB:
             self._mem_trace_count = 0
         t = self._new_wal(t)
         self._pending_imm = (imm, old_log, t)
+        self.pressure.note_sealed(True)
         self._advance_background(t)  # dump immediately if a thread is free
         return t
 
@@ -1064,6 +871,7 @@ class DB:
         finally:
             self._imm_dump_running = False
         self._pending_imm = None
+        self.pressure.note_sealed(False)
         t = self.fs.unlink(log_file_name(self.dbname, old_log_number), at=t)
         return t
 

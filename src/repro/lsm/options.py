@@ -58,25 +58,13 @@ class Options:
     # background execution
     background_threads: int = 1
 
-    # performance stability (all default OFF: stock-LevelDB behaviour)
-    #: major-compaction token-bucket rate, bytes of compaction input per
-    #: virtual second; 0 disables rate limiting entirely
-    compaction_rate_bytes_per_sec: int = 0
-    #: burst capacity of the token bucket in bytes; 0 = one virtual
-    #: second's worth of tokens
-    compaction_rate_burst_bytes: int = 0
-    #: "fair" mode: L0->L1 compactions bypass the limiter while
-    #: ``l0_live_count`` is within one file of the slowdown trigger, so
-    #: bandwidth shaping never starves the work that unblocks writers
-    compaction_rate_fair: bool = False
-    #: replace the fixed 1 ms L0 slowdown with a delay scaled to L0 debt
-    #: (RocksDB-style): gentle at the slowdown trigger, escalating
-    #: quadratically toward the stop trigger
-    dynamic_slowdown: bool = False
-    #: dynamic slowdown delay at the first file over the trigger
-    dynamic_slowdown_min_ns: int = 100_000
-    #: dynamic slowdown delay just below the stop trigger
-    dynamic_slowdown_max_ns: int = 4_000_000
+    #: performance stability, sized to this user-data ingest (bytes per
+    #: virtual second); 0 = stock LevelDB. When set, majors are rate-
+    #: limited at 14x ingest (ingest/10 burst) except the L0->L1 drain
+    #: once live L0 reaches ``l0_compaction_trigger`` (fair mode), which
+    #: also preempts deeper picks; and the 1 ms L0 slowdown becomes a
+    #: quadratic ramp toward the stop trigger (:mod:`repro.lsm.pressure`)
+    stability_ingest_bytes_per_sec: int = 0
 
     # key-value separation (WiscKey-style vLog; used by the noblsm-kv
     # store variant, all default OFF: plain stores never consult these)
@@ -119,17 +107,8 @@ class Options:
             )
         if self.background_threads < 1:
             raise ValueError("background_threads must be >= 1")
-        if self.compaction_rate_bytes_per_sec < 0:
-            raise ValueError("compaction_rate_bytes_per_sec must be >= 0")
-        if self.compaction_rate_burst_bytes < 0:
-            raise ValueError("compaction_rate_burst_bytes must be >= 0")
-        if self.dynamic_slowdown:
-            if self.dynamic_slowdown_min_ns <= 0:
-                raise ValueError("dynamic_slowdown_min_ns must be positive")
-            if self.dynamic_slowdown_max_ns < self.dynamic_slowdown_min_ns:
-                raise ValueError(
-                    "dynamic_slowdown_max_ns must be >= dynamic_slowdown_min_ns"
-                )
+        if self.stability_ingest_bytes_per_sec < 0:
+            raise ValueError("stability_ingest_bytes_per_sec must be >= 0")
         if self.reclaim_interval_ns <= 0:
             raise ValueError("reclaim_interval_ns must be positive")
         if self.value_threshold is not None and self.value_threshold < 0:

@@ -18,19 +18,21 @@ bucket will have refilled — the compaction still runs, just spread out,
 so the device sees a bounded compaction byte-rate per window instead of
 an all-or-nothing burst.
 
-**Fair mode** (the ``urgent`` flag, driven by
-``Options.compaction_rate_fair``) recognises that not all compaction
-bytes are equal: L0->L1 work is what keeps ``l0_live_count`` below the
-slowdown/stop triggers, i.e. what keeps *writers* unblocked. Urgent
+**Fair mode** (the ``urgent`` flag, decided by
+:meth:`repro.lsm.pressure.WritePressure.admit`) recognises that not all
+compaction bytes are equal: L0->L1 work is what keeps live L0 below the
+slowdown/stop triggers, i.e. what keeps *writers* unblocked. Once live
+L0 reaches ``l0_compaction_trigger`` the L0 drain is urgent: urgent
 admissions are never delayed; they still debit the bucket (the bytes
 are real device traffic), driving it negative if needed, which pushes
 future non-urgent work further out — exactly the "L0 first, deep
 levels pay" priority the stability literature argues for.
 
 Everything is integer arithmetic on virtual nanoseconds, so runs stay
-bit-deterministic. The limiter is off (``None`` on the DB) unless
-``Options.compaction_rate_bytes_per_sec`` is set, and the default
-options therefore keep the seed's byte-identical behaviour.
+bit-deterministic. A store runs one only when
+``Options.stability_ingest_bytes_per_sec`` is set
+(:func:`repro.lsm.pressure.stability_limiter` sizes it), so the default
+options keep the seed's byte-identical behaviour.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class CompactionRateLimiter:
     __slots__ = (
         "bytes_per_sec",
         "burst_bytes",
-        "fair",
         "_tokens",
         "_last_refill_ns",
         "admitted_jobs",
@@ -62,7 +63,6 @@ class CompactionRateLimiter:
         self,
         bytes_per_sec: int,
         burst_bytes: int = 0,
-        fair: bool = False,
     ) -> None:
         if bytes_per_sec <= 0:
             raise ValueError(
@@ -73,7 +73,6 @@ class CompactionRateLimiter:
         self.bytes_per_sec = bytes_per_sec
         #: bucket capacity; defaults to one virtual second of tokens
         self.burst_bytes = burst_bytes if burst_bytes > 0 else bytes_per_sec
-        self.fair = fair
         self._tokens = self.burst_bytes  # start full: no cold-start stall
         self._last_refill_ns = 0
         self.admitted_jobs = 0
@@ -123,6 +122,7 @@ class CompactionRateLimiter:
         if urgent or self._tokens >= nbytes:
             return ready
         deficit = nbytes - self._tokens
+        # ceil-divide so the bucket is never admitted short
         wait_ns = (deficit * NS_PER_SEC + self.bytes_per_sec - 1) // (
             self.bytes_per_sec
         )
@@ -132,34 +132,22 @@ class CompactionRateLimiter:
         """Earliest start time for a job of ``nbytes``; consumes tokens.
 
         Non-urgent jobs wait for the bucket to cover them; urgent jobs
-        (fair-mode L0 drain) start at ``ready`` and may overdraw the
+        (the fair-mode L0 drain) start at ``ready`` and may overdraw the
         bucket. Call with the job's ready time; the returned time is
         ``>= ready`` and the tokens are debited at that instant.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         ready = int(ready)
-        self._refill(ready)
-        if urgent or self._tokens >= nbytes:
-            if urgent and self._tokens < nbytes:
-                self.bypassed_jobs += 1
-                self.bypassed_bytes += nbytes
-            self._tokens -= nbytes
-            self.admitted_jobs += 1
-            self.admitted_bytes += nbytes
-            return ready
-        deficit = nbytes - self._tokens
-        # ceil-divide so the bucket is never admitted short
-        wait_ns = (deficit * NS_PER_SEC + self.bytes_per_sec - 1) // (
-            self.bytes_per_sec
-        )
-        start = ready + wait_ns
-        self._refill(start)
+        start = self.peek(ready, nbytes, urgent)
+        if start > ready:
+            self._refill(start)
+            self.throttled_jobs += 1
+            self.throttle_ns += start - ready
+        elif self._tokens < nbytes:  # an urgent job overdrawing the bucket
+            self.bypassed_jobs += 1
+            self.bypassed_bytes += nbytes
         self._tokens -= nbytes
         self.admitted_jobs += 1
         self.admitted_bytes += nbytes
-        self.throttled_jobs += 1
-        self.throttle_ns += start - ready
         return start
 
     def snapshot(self) -> Dict[str, object]:
@@ -167,7 +155,6 @@ class CompactionRateLimiter:
         return {
             "bytes_per_sec": self.bytes_per_sec,
             "burst_bytes": self.burst_bytes,
-            "fair": self.fair,
             "admitted_jobs": self.admitted_jobs,
             "admitted_bytes": self.admitted_bytes,
             "throttled_jobs": self.throttled_jobs,
@@ -180,6 +167,6 @@ class CompactionRateLimiter:
     def __repr__(self) -> str:
         return (
             f"CompactionRateLimiter({self.bytes_per_sec} B/s, "
-            f"burst={self.burst_bytes}, fair={self.fair}, "
+            f"burst={self.burst_bytes}, "
             f"throttled={self.throttled_jobs})"
         )

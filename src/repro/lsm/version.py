@@ -278,6 +278,9 @@ class VersionSet:
         #: survive the crash (NobLSM's async-committed successors)
         self.validate_new_file: Optional[Callable[[FileMetaData], bool]] = None
         self.skipped_edits = 0
+        #: called after every LogAndApply install (the store's pressure
+        #: telemetry, when observing)
+        self.on_install: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -354,6 +357,8 @@ class VersionSet:
             t = self._manifest.fsync(at=t, reason="manifest")
         self.manifest_writes += 1
         self.current = self._apply(self.current, edit)
+        if self.on_install is not None:
+            self.on_install()
         return t
 
     def _apply(self, base: Version, edit: VersionEdit) -> Version:

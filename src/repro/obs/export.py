@@ -21,7 +21,8 @@ machine-readable so benchmark trajectories can be diffed across runs:
 virtual time go?* — from well-known metric names: device busy time from
 the device stats source, journal-commit time from the ``journal.commit``
 span histogram, compaction time from the minor/major compaction span
-histograms, and stall time from the store's attributed stall counters.
+histograms, and stall time from the store's attributed stall counters
+(every ``db.stall.*_ns`` counter, whatever causes the store books).
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ from typing import Dict, Optional
 from repro.obs.metrics import MetricRegistry
 
 SCHEMA = "repro.obs/1"
-
-#: stall counters summed into the breakdown's "stalls" entry
-STALL_COUNTERS = (
-    "db.stall.l0_slowdown_ns",
-    "db.stall.memtable_wait_ns",
-    "db.stall.l0_stop_ns",
-)
 
 #: span histograms summed into the breakdown's "compaction" entry
 COMPACTION_SPANS = ("span.db.compaction.minor_ns", "span.db.compaction.major_ns")
@@ -62,7 +56,11 @@ def layer_breakdown(registry: MetricRegistry) -> Dict[str, int]:
     compaction = sum(
         int(histograms.get(name, {}).get("sum", 0)) for name in COMPACTION_SPANS
     )
-    stalls = sum(int(counters.get(name, 0)) for name in STALL_COUNTERS)
+    stalls = sum(
+        int(value)
+        for name, value in counters.items()
+        if name.startswith("db.stall.") and name.endswith("_ns")
+    )
     return {
         "device": device,
         "journal": journal,

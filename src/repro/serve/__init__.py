@@ -6,8 +6,8 @@ independent store shards (each a full
 deterministic hash :class:`~repro.serve.router.Router` with per-tenant
 key namespaces, per-shard
 :class:`~repro.serve.admission.AdmissionController` backpressure driven
-by the store's live :meth:`~repro.lsm.db.DB.write_pressure`, and the
-:mod:`~repro.serve.loadgen` open/closed-loop multi-tenant load
+by the store's live :meth:`~repro.lsm.pressure.WritePressure.state`,
+and the :mod:`~repro.serve.loadgen` open/closed-loop multi-tenant load
 generator. :mod:`~repro.serve.bench` measures it all — per-tenant and
 per-shard p50/p99/p99.9, the fairness ratio, and admission counts — in
 the versioned ``repro.serve/1`` document gated in CI.
@@ -24,7 +24,6 @@ from repro.serve.bench import (
     SERVE_SCHEMA,
     ServeConfig,
     ServeResult,
-    fair_variant,
     render_serve,
     render_timeline,
     run_serve,
@@ -50,7 +49,6 @@ __all__ = [
     "SERVE_SCHEMA",
     "ServeConfig",
     "ServeResult",
-    "fair_variant",
     "render_serve",
     "render_timeline",
     "run_serve",

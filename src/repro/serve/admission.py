@@ -6,9 +6,8 @@ absorb the difference. Without admission control that something is the
 writer mutex: every queued client parks on a stalled shard and the
 tenant sees the full stall in its tail. The controller moves the
 decision to the front door, using the store's own write-path triggers
-(:meth:`repro.lsm.db.DB.write_pressure`, the same L0/memtable state
-``_make_room`` stalls on — the PR 7 stall machinery read without
-writing):
+(:meth:`repro.lsm.pressure.WritePressure.state`, the same decision
+``_make_room`` stalls on, read without writing):
 
 - a bounded **backpressure queue** models the requests already
   dispatched to the shard but not yet completed (their virtual
@@ -34,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict
 
-from repro.lsm.db import PRESSURE_OK, PRESSURE_SLOWDOWN, PRESSURE_STOP
+from repro.lsm.pressure import PRESSURE_OK, PRESSURE_SLOWDOWN, PRESSURE_STOP
 
 #: admission decisions
 ADMIT = "admit"

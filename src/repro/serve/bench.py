@@ -18,9 +18,11 @@ cluster idles along. Reported per tenant *and* per shard:
 
 Documents use the versioned ``repro.serve/1`` schema and are gated by
 :mod:`repro.bench.compare` like the soak and throughput baselines. The
-``serve-fair`` variant applies the per-shard stability machinery — the
-compaction rate limiter in fair mode plus dynamic slowdown — and the
-serve gate asserts it beats the untuned cluster on worst-tenant p99.9.
+``serve-fair`` variant (``ServeConfig.fair``) sizes each shard's
+stability tuning (:mod:`repro.lsm.pressure`: the compaction rate
+limiter in fair mode plus dynamic slowdown) to the hot shard's ingest,
+and the serve gate asserts it beats the untuned cluster on worst-tenant
+p99.9.
 """
 
 from __future__ import annotations
@@ -70,11 +72,8 @@ class ServeConfig:
     clients_per_tenant: int = 4
     num_channels: int = 1
     background_threads: int = 1
-    # --- per-shard stability tuning (the "serve-fair" variant) ---
-    compaction_rate_bytes_per_sec: int = 0
-    compaction_rate_burst_bytes: int = 0
-    compaction_rate_fair: bool = False
-    dynamic_slowdown: bool = False
+    #: the "serve-fair" variant: per-shard stability tuning on
+    fair: bool = False
 
     @property
     def window_ns(self) -> int:
@@ -85,8 +84,16 @@ class ServeConfig:
         return max(int(self.arrival_rate * self.duration_s), 1)
 
     @property
-    def fair(self) -> bool:
-        return self.compaction_rate_bytes_per_sec > 0 or self.dynamic_slowdown
+    def hot_shard_ingest(self) -> int:
+        """User-data bytes/s at the hot shard, which every shard's
+        stability tuning is sized for: with tenant-affine placement and
+        zipf 0.99 over a handful of tenants, about half the writes."""
+        return int(
+            self.arrival_rate
+            * self.write_fraction
+            * (self.key_size + self.value_size)
+            * 0.5  # hot shard's share of the total
+        )
 
     @property
     def variant(self) -> str:
@@ -123,39 +130,10 @@ class ServeConfig:
             window_ns=self.window_ns,
             num_channels=self.num_channels,
             background_threads=self.background_threads,
-            compaction_rate_bytes_per_sec=self.compaction_rate_bytes_per_sec,
-            compaction_rate_burst_bytes=self.compaction_rate_burst_bytes,
-            compaction_rate_fair=self.compaction_rate_fair,
-            dynamic_slowdown=self.dynamic_slowdown,
+            stability_ingest_bytes_per_sec=(
+                self.hot_shard_ingest if self.fair else 0
+            ),
         )
-
-
-def fair_variant(config: ServeConfig) -> ServeConfig:
-    """The stability-tuned twin: same cluster, same workload, same seed.
-
-    Sized like the soak harness's tuned variant, per shard: sustained
-    user-data ingest at the *hot* shard is the total write ingest times
-    the hot tenant's share (with tenant-affine placement and zipf 0.99
-    over a handful of tenants, roughly half the traffic lands on one
-    shard), and leveling write amplification multiplies that
-    several-fold. A 14x-ingest cap with a shallow burst bucket spreads
-    deep-major bursts without ever starving steady-state demand; fair
-    mode exempts and prioritizes the L0 drain; dynamic slowdown replaces
-    the fixed 1 ms writer delay with a debt-scaled ramp.
-    """
-    ingest = int(
-        config.arrival_rate
-        * config.write_fraction
-        * (config.key_size + config.value_size)
-        * 0.5  # hot shard's share of the total
-    )
-    return replace(
-        config,
-        compaction_rate_bytes_per_sec=14 * ingest,
-        compaction_rate_burst_bytes=ingest // 10,
-        compaction_rate_fair=True,
-        dynamic_slowdown=True,
-    )
 
 
 @dataclass
@@ -412,14 +390,10 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
 
 def run_serve_pair(config: ServeConfig) -> List[ServeResult]:
     """Run the untuned cluster and its fair-scheduled twin (same seed)."""
-    untuned = replace(
-        config,
-        compaction_rate_bytes_per_sec=0,
-        compaction_rate_burst_bytes=0,
-        compaction_rate_fair=False,
-        dynamic_slowdown=False,
-    )
-    return [run_serve(untuned), run_serve(fair_variant(config))]
+    return [
+        run_serve(replace(config, fair=False)),
+        run_serve(replace(config, fair=True)),
+    ]
 
 
 def render_timeline(result: ServeResult, width: int = 40) -> str:

@@ -14,10 +14,10 @@ The serve path for one request:
 1. the :class:`~repro.serve.router.Router` picks the shard and builds
    the namespaced storage key;
 2. the shard's :class:`~repro.serve.admission.AdmissionController`
-   reads the store's :meth:`~repro.lsm.db.DB.write_pressure` and either
-   admits, queues (the request waits behind the shard's backlog — its
-   wait shows up in latency), or sheds (the request is refused and only
-   counted);
+   reads the store's :meth:`~repro.lsm.pressure.WritePressure.state`
+   and either admits, queues (the request waits behind the shard's
+   backlog — its wait shows up in latency), or sheds (the request is
+   refused and only counted);
 3. served requests execute against the shard's store at their arrival
    time — the store's writer mutex and stall machinery charge any
    queueing to the completion time — and the latency is recorded in the
@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 from repro.baselines.registry import make_store
 from repro.bench.harness import ScaledConfig
 from repro.lsm.db import DB
-from repro.lsm.options import Options
 from repro.obs.metrics import NULL_REGISTRY, MetricRegistry, WindowedHistogram
 from repro.serve.admission import QUEUE, SHED, AdmissionController
 from repro.serve.loadgen import OP_GET, OP_PUT, Request
@@ -110,21 +109,9 @@ class ClusterConfig:
     window_ns: int = 25_000_000
     num_channels: int = 1
     background_threads: int = 1
-    # --- per-shard stability tuning (the "fair" cluster variant) ---
-    compaction_rate_bytes_per_sec: int = 0
-    compaction_rate_burst_bytes: int = 0
-    compaction_rate_fair: bool = False
-    dynamic_slowdown: bool = False
-
-    def build_options(self, scaled: ScaledConfig) -> Options:
-        options = scaled.build_options()
-        options.compaction_rate_bytes_per_sec = (
-            self.compaction_rate_bytes_per_sec
-        )
-        options.compaction_rate_burst_bytes = self.compaction_rate_burst_bytes
-        options.compaction_rate_fair = self.compaction_rate_fair
-        options.dynamic_slowdown = self.dynamic_slowdown
-        return options
+    #: every shard's ``Options.stability_ingest_bytes_per_sec`` (0 =
+    #: stock LevelDB, the untuned cluster)
+    stability_ingest_bytes_per_sec: int = 0
 
 
 class ServeCluster:
@@ -160,9 +147,12 @@ class ServeCluster:
                 background_threads=config.background_threads,
             )
             stack = scaled.build_stack()
+            options = scaled.build_options()
+            options.stability_ingest_bytes_per_sec = (
+                config.stability_ingest_bytes_per_sec
+            )
             db = make_store(
-                config.store, stack, f"shard{index}",
-                options=config.build_options(scaled),
+                config.store, stack, f"shard{index}", options=options
             )
             admission = AdmissionController(max(config.max_queue, 1))
             # the shard's own registry carries its front-door stats, so
@@ -215,7 +205,7 @@ class ServeCluster:
         self._c_offered.inc()
         if self.config.max_queue > 0:
             decision = shard.admission.decide(
-                at, shard.db.write_pressure()
+                at, shard.db.pressure.state()
             )
             if decision == SHED:
                 tenant.shed += 1

@@ -1,5 +1,7 @@
 """Unit tests for the amplification analysis (tiny scale)."""
 
+import json
+
 import pytest
 
 from repro.bench.amplification import measure_amplification
@@ -88,16 +90,32 @@ def test_render_amplification_lists_stores():
     assert "noblsm" in text and "noblsm-kv" in text
 
 
-def test_dbbench_cli_runs(capsys):
+def test_dbbench_cli_runs(capsys, tmp_path):
     from repro.bench.dbbench_cli import main
 
+    path = tmp_path / "smoke.json"
     exit_code = main(
-        ["--store", "noblsm", "--benchmarks", "fillseq", "--scale", "20000"]
+        [
+            "--store", "noblsm",
+            "--benchmarks", "fillrandom,readrandom",
+            "--num", "500",
+            "--scale", "20000",
+            "--observe",
+            "--json", str(path),
+        ]
     )
     assert exit_code == 0
     out = capsys.readouterr().out
-    assert "fillseq" in out
+    assert "fillrandom" in out and "readrandom" in out
     assert "micros/op" in out
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "repro.bench/1"
+    rows = doc["results"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["breakdown_ns"]["device"] >= 0
+        assert "stalls" in row["breakdown_ns"]
+        assert "latency_us" in row
 
 
 def test_dbbench_cli_rejects_unknown_benchmark(capsys):

@@ -19,9 +19,9 @@ from repro.bench.soak import (
     render_timeline,
     run_soak,
     run_soak_pair,
-    tuned_variant,
 )
 from repro.bench.targets import SOAK_METRICS
+from repro.lsm.pressure import stability_limiter
 
 #: small enough for the suite, long enough to reach the spike regime
 SMALL = SoakConfig(duration_s=0.15, arrival_rate=40_000.0, window_ms=25.0)
@@ -64,13 +64,15 @@ def test_result_shape_and_window_accounting():
 
 
 def test_tuned_variant_enables_the_stability_machinery():
-    tuned = tuned_variant(SMALL)
-    assert tuned.tuned and tuned.variant == "soak-tuned"
+    tuned = replace(SMALL, tuned=True)
+    assert tuned.variant == "soak-tuned"
     assert not SMALL.tuned and SMALL.variant == "soak"
     ingest = int(SMALL.arrival_rate * (SMALL.key_size + SMALL.value_size))
-    assert tuned.compaction_rate_bytes_per_sec == 14 * ingest
-    assert tuned.compaction_rate_burst_bytes == ingest // 10
-    assert tuned.compaction_rate_fair and tuned.dynamic_slowdown
+    assert tuned.ingest_bytes_per_sec == ingest
+    # the recipe the tuned store runs: 14x ingest cap, ingest/10 bucket
+    limiter = stability_limiter(ingest)
+    assert limiter.bytes_per_sec == 14 * ingest
+    assert limiter.burst_bytes == ingest // 10
     # same workload, same seed: only the tuning knobs differ
     assert (tuned.seed, tuned.arrival_rate, tuned.duration_s) == (
         SMALL.seed,

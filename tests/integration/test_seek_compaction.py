@@ -79,7 +79,7 @@ def test_seek_compactions_reduce_probes():
     )
     t = hammer_reads(db, t, n=50_000)
     t = db.wait_for_background(t)
-    l0_after = db._l0_live_count()
+    l0_after = db.pressure.l0_live()
     assert l0_after <= db.options.l0_compaction_trigger
 
 

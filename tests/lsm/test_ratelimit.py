@@ -132,14 +132,13 @@ def test_negative_bytes_rejected():
 
 
 def test_snapshot_has_the_stats_contract_keys():
-    rl = CompactionRateLimiter(1000, burst_bytes=100, fair=True)
+    rl = CompactionRateLimiter(1000, burst_bytes=100)
     rl.admit(0, 100)
     rl.admit(0, 50)
     rl.note_held()
     snap = rl.snapshot()
     assert snap["bytes_per_sec"] == 1000
     assert snap["burst_bytes"] == 100
-    assert snap["fair"] is True
     assert snap["admitted_jobs"] == 2
     assert snap["admitted_bytes"] == 150
     assert snap["throttled_jobs"] == 1
@@ -157,6 +156,6 @@ def test_sequence_is_deterministic():
             out.append(rl.admit(t, 1000 * (i % 7), urgent=(i % 11 == 0)))
         return out
 
-    a = drive(CompactionRateLimiter(100_000, burst_bytes=10_000, fair=True))
-    b = drive(CompactionRateLimiter(100_000, burst_bytes=10_000, fair=True))
+    a = drive(CompactionRateLimiter(100_000, burst_bytes=10_000))
+    b = drive(CompactionRateLimiter(100_000, burst_bytes=10_000))
     assert a == b

@@ -2,7 +2,7 @@
 
 Three bugs lived here and must stay dead:
 
-1. ``_note_stall`` only emitted ``lsm.write_stall`` spans when a tracer
+1. stall spans (then ``DB._note_stall``) were only emitted when a tracer
    was attached, so observe-only runs (``--observe``) saw stall
    *counters* move with zero stall *spans* — any span-based consumer
    (the soak harness) silently under-reported.
@@ -20,7 +20,17 @@ import pytest
 from repro.fs.stack import StackConfig, StorageStack
 from repro.lsm.db import DB, DBStats
 from repro.lsm.options import KIB, Options
+from repro.lsm.pressure import (
+    L0_SLOWDOWN,
+    L0_STOP,
+    MILLISECOND,
+    SLOWDOWN_MAX_NS,
+    SLOWDOWN_MIN_NS,
+)
 from repro.obs.metrics import MetricRegistry
+
+#: enough ingest to turn the stability machinery on at these sizes
+INGEST = 75_000
 
 
 def small_options(**overrides):
@@ -85,11 +95,14 @@ def test_unobserved_run_stays_quiet_but_counts():
     # the NULL registry collects nothing — and nothing crashed
 
 
-def test_note_stall_skips_empty_intervals():
+def test_charge_skips_empty_intervals():
     db, stack = observed_db()
-    db._note_stall("l0_slowdown", 100, 100)
-    db._note_stall("l0_slowdown", 100, 50)
+    before = db.stats.snapshot()
+    db.pressure.charge(L0_SLOWDOWN, 100, 100)
+    db.pressure.charge(L0_STOP, 100, 50)
     assert stall_spans_by_cause(stack.obs) == {}
+    assert db.stats.snapshot() == before
+    assert stack.obs.counter("db.stall.l0_stop_ns").value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +113,7 @@ def test_note_stall_skips_empty_intervals():
 def test_l0_stop_abandonment_is_counted(monkeypatch):
     db, stack = observed_db()
     monkeypatch.setattr(
-        db, "_l0_live_count", lambda: db.options.l0_stop_writes_trigger
+        db.pressure, "l0_live", lambda: db.options.l0_stop_writes_trigger
     )
     monkeypatch.setattr(db, "_run_one_background_job", lambda: None)
     resumed = db._wait_for_l0_drain(1000)
@@ -113,7 +126,7 @@ def test_l0_stop_abandonment_is_counted(monkeypatch):
 def test_l0_stop_abandonment_unobserved_still_counts(monkeypatch):
     db = DB(StorageStack(), options=small_options())
     monkeypatch.setattr(
-        db, "_l0_live_count", lambda: db.options.l0_stop_writes_trigger
+        db.pressure, "l0_live", lambda: db.options.l0_stop_writes_trigger
     )
     monkeypatch.setattr(db, "_run_one_background_job", lambda: None)
     db._wait_for_l0_drain(0)
@@ -163,29 +176,44 @@ def test_hard_stall_split_tiles_exactly_after_a_run():
 # ---------------------------------------------------------------------------
 
 
-def test_dynamic_slowdown_defaults_off():
-    assert Options().dynamic_slowdown is False
-    assert Options().compaction_rate_bytes_per_sec == 0
+def slowdown_delays(db, monkeypatch, counts):
+    delays = []
+    for count in counts:
+        monkeypatch.setattr(db.pressure, "l0_live", lambda c=count: c)
+        delays.append(db.pressure.slowdown_ns())
+    return delays
 
 
-def test_dynamic_slowdown_ramp_is_monotone_and_bounded():
-    db = DB(StorageStack(), options=small_options(dynamic_slowdown=True))
+def test_dynamic_slowdown_defaults_off(monkeypatch):
+    assert Options().stability_ingest_bytes_per_sec == 0
+    db = DB(StorageStack(), options=small_options())
+    assert db.pressure.limiter is None
     opts = db.options
-    delays = [
-        db._dynamic_slowdown_ns(count)
-        for count in range(
-            opts.l0_slowdown_writes_trigger, opts.l0_stop_writes_trigger
-        )
-    ]
+    band = range(opts.l0_slowdown_writes_trigger, opts.l0_stop_writes_trigger)
+    # stock LevelDB: a flat 1 ms anywhere in the slowdown band
+    assert set(slowdown_delays(db, monkeypatch, band)) == {MILLISECOND}
+
+
+def test_dynamic_slowdown_ramp_is_monotone_and_bounded(monkeypatch):
+    db = DB(
+        StorageStack(),
+        options=small_options(stability_ingest_bytes_per_sec=INGEST),
+    )
+    opts = db.options
+    slowdown = opts.l0_slowdown_writes_trigger
+    stop = opts.l0_stop_writes_trigger
+    delays = slowdown_delays(db, monkeypatch, range(slowdown, stop))
     assert delays == sorted(delays)
-    assert delays[0] >= opts.dynamic_slowdown_min_ns
-    assert delays[-1] <= opts.dynamic_slowdown_max_ns
-    # deepest debt reaches the full configured ceiling
-    assert delays[-1] == opts.dynamic_slowdown_max_ns
+    assert delays[0] >= SLOWDOWN_MIN_NS
+    assert delays[-1] <= SLOWDOWN_MAX_NS
+    # deepest debt reaches the full ceiling
+    assert delays[-1] == SLOWDOWN_MAX_NS
+    # outside the band no delay: below it, or at the hard stop
+    assert slowdown_delays(db, monkeypatch, (slowdown - 1, stop)) == [0, 0]
 
 
 def test_dynamic_slowdown_charges_slowdown_not_stall():
-    db, stack = observed_db(dynamic_slowdown=True)
+    db, stack = observed_db(stability_ingest_bytes_per_sec=INGEST)
     fill(db)
     stats = db.stats
     if stats.slowdown_ns:

@@ -104,10 +104,11 @@ def test_disabled_run_creates_no_timeseries_or_slo_objects(monkeypatch):
 
 
 def test_pressure_gauge_only_exists_when_observed():
-    """db.write_pressure() telemetry is gated on the observe flag."""
+    """Write-pressure telemetry is gated on the observe flag."""
     config = ScaledConfig(scale=20000.0, seed=7)
     result, stack, db = run_fillrandom("noblsm", config)
-    assert not hasattr(db, "_pressure_gauge")
+    assert not hasattr(db.pressure, "_gauge")
+    assert db.versions.on_install is None
     observed = ScaledConfig(scale=20000.0, seed=7, observe=True)
     result, stack, db = run_fillrandom("noblsm", observed)
     snap = stack.obs.snapshot()

@@ -22,7 +22,7 @@ GRID = [(1, 1), (4, 2)]  # (num_channels, background_threads)
 STORES = ("leveldb", "noblsm")
 
 
-def run_workload(store, channels, threads, seed, dynamic_slowdown=False):
+def run_workload(store, channels, threads, seed, ingest=0):
     stack = StorageStack(
         StackConfig(
             obs=MetricRegistry(),
@@ -38,7 +38,7 @@ def run_workload(store, channels, threads, seed, dynamic_slowdown=False):
         l0_slowdown_writes_trigger=3,
         l0_stop_writes_trigger=5,
         background_threads=threads,
-        dynamic_slowdown=dynamic_slowdown,
+        stability_ingest_bytes_per_sec=ingest,
     )
     db = make_store(store, stack, "db", options=options)
     rng = random.Random(seed)
@@ -101,10 +101,15 @@ def test_stall_counters_tile_and_spans_match(store, channels, threads, seed):
 
 @pytest.mark.parametrize("channels,threads", GRID)
 def test_invariants_hold_with_dynamic_slowdown(channels, threads):
+    # stability tuning on: dynamic slowdown, the rate limiter and fair
+    # preemption of deeper picks by the L0 drain
     db, stack = run_workload(
-        "noblsm", channels, threads, seed=99, dynamic_slowdown=True
+        "noblsm", channels, threads, seed=99, ingest=75_000
     )
+    limiter = db.pressure.limiter
+    assert limiter.throttled_jobs > 0 and limiter.bypassed_jobs > 0
     stats = db.stats
+    assert stats.slowdown_ns > 0
     assert stats.stall_ns == stats.stall_memtable_ns + stats.stall_l0_stop_ns
     sums = span_sums(stack.obs)
     assert sums.get("l0_slowdown", 0) == stats.slowdown_ns

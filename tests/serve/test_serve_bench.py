@@ -10,6 +10,7 @@ be deterministic (modulo the host section) and gateable by
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.bench.targets import SERVE_METRICS
 from repro.serve.bench import (
     SERVE_SCHEMA,
     ServeConfig,
-    fair_variant,
     render_serve,
     render_timeline,
     run_serve,
@@ -145,11 +145,17 @@ def test_serve_run_is_deterministic_modulo_host():
 
 
 def test_fair_variant_same_workload_different_tuning():
-    fair = fair_variant(TINY)
+    fair = replace(TINY, fair=True)
     assert fair.variant == "serve-fair"
     assert TINY.variant == "serve"
-    assert fair.compaction_rate_bytes_per_sec > 0
-    assert fair.compaction_rate_fair and fair.dynamic_slowdown
+    # every shard is tuned for the hot shard's ingest; untuned is stock
+    assert fair.cluster_config().stability_ingest_bytes_per_sec == int(
+        TINY.arrival_rate
+        * TINY.write_fraction
+        * (TINY.key_size + TINY.value_size)
+        * 0.5
+    )
+    assert TINY.cluster_config().stability_ingest_bytes_per_sec == 0
     # the workload shape is untouched: same stream, same seed
     assert fair.load_config() == TINY.load_config()
 
