@@ -8,6 +8,9 @@ change what the model charges re-records them (``python
 tests/bench/test_virtual_pin.py`` prints the table) and says so; a PR
 that only means to make the simulator faster must leave them alone.
 
+Every registered store has a row, so a store-specific path (l2sm's hot
+tier, pebblesdb's guards, bolt's single barrier) cannot change unpinned.
+
 The tuned rows run the same scenario with the write-stability machinery
 on (compaction rate limiter in fair mode, dynamic slowdown), so the
 limiter's throttle / hold-back / bypass decisions and the stall split
@@ -20,7 +23,7 @@ import json
 
 import pytest
 
-from repro.baselines.registry import make_store
+from repro.baselines.registry import STORE_CLASSES, make_store
 from repro.bench.harness import ScaledConfig
 from repro.bench.workloads import (
     ValueGenerator,
@@ -35,16 +38,32 @@ NUM_KEYS = 1500
 #: the cache evicts
 PAGECACHE_BYTES = 4 * 64 * 1024
 
+#: every registered store, with the value_threshold it runs at
 STORES = {
+    "bolt": None,
+    "hyperleveldb": None,
+    "l2sm": None,
     "leveldb": None,
     "noblsm": None,
     "noblsm-kv": 64,  # value_threshold: the 100 B values go to the vLog
     "pebblesdb": None,
+    "rocksdb": None,
+    "volatile": None,
 }
 SHAPES = ((1, 1), (4, 2))  # (device channels, background threads)
+#: stores also pinned at 4 channels x 2 threads; rocksdb and
+#: hyperleveldb set their own 4 and 2 threads, so their 1ch x 1thr rows
+#: already run the parallel scheduler
+PARALLEL_STORES = ("leveldb", "noblsm", "noblsm-kv", "pebblesdb")
+ROWS = [
+    (store, channels, threads)
+    for store in sorted(STORES)
+    for channels, threads in SHAPES
+    if (channels, threads) == (1, 1) or store in PARALLEL_STORES
+]
 
-#: recorded on 034fbfe (PR 12), before any src/ edit of PR 13
 PINNED = {
+    # recorded on 034fbfe (PR 12), before any src/ edit of PR 13
     "leveldb-1ch1thr": "7e2c4e5888892f7d9226bccb8f5e1abb4eb9d0a399f80dd9b76be1ec89a9f760",
     "leveldb-4ch2thr": "961ae9cf2dcc6ed2ebf9e228687439f8043285124a8e94ba735f719f85c90972",
     "noblsm-1ch1thr": "8396fbcd89d94ec8149e9d0f6080cf0654ed263a0df24595db5f075924ae53d1",
@@ -53,6 +72,12 @@ PINNED = {
     "noblsm-kv-4ch2thr": "d80644e0c97d26433a6d59846bb3d8c05bfb6e907ad92d96a25233590f20ef68",
     "pebblesdb-1ch1thr": "bcb261e9786112081229ca910e059c9967d625900fe7caa4d3d4ae503a30ccaa",
     "pebblesdb-4ch2thr": "e8ddaee734556b87931e11c3ad30c288ebc519a5452207aa01921fcc432683be",
+    # recorded on defd8b7, before the shared lookup / table-output paths
+    "bolt-1ch1thr": "363e2f8af8e22042bb87387d7ffdbf5be191c8be85455996530aa5f53dacb4d7",
+    "hyperleveldb-1ch1thr": "0bd4a56fed69c9cd1ed4ea1be803f506402b11e4e4a97e5e2d794f005e0d60e5",
+    "l2sm-1ch1thr": "33f9cd188e03cd09c418cb6224baabb5955574f0f29f29632ad6c36f4f5c6b7a",
+    "rocksdb-1ch1thr": "6a32915910b0eb15373cba70dfaac2866d38d45e2326519709018e47d068c28b",
+    "volatile-1ch1thr": "d6bf90af223c043d0051c37bfca906090fa21b9b8397af32529f0f0f3aae56a6",
 }
 
 TUNED_STORES = ("leveldb", "noblsm")
@@ -133,6 +158,13 @@ def virtual_section(store, channels, threads, ingest=0):
         "blockcache_misses": db.table_cache.block_cache.misses,
         "tablecache_opens": db.table_cache.opens,
     }
+    if store == "l2sm":
+        section["hot"] = {
+            "dumps": db.hot_dumps,
+            "gcs": db.hot_gcs,
+            "keys": len(db._hot_index),
+            "demoted": db.demoted_keys,
+        }
     if ingest:
         section["stalls"] = {
             name: getattr(db.stats, name)
@@ -163,8 +195,12 @@ def digest(section):
     ).hexdigest()
 
 
-@pytest.mark.parametrize("channels,threads", SHAPES)
-@pytest.mark.parametrize("store", sorted(STORES))
+def test_every_registered_store_is_pinned():
+    assert set(STORES) == set(STORE_CLASSES)
+    assert {f"{s}-{c}ch{t}thr" for s, c, t in ROWS} == set(PINNED)
+
+
+@pytest.mark.parametrize("store,channels,threads", ROWS)
 def test_virtual_section_matches_parent_commit(store, channels, threads):
     section = virtual_section(store, channels, threads)
     # the scenario must reach the layers it claims to pin
@@ -172,6 +208,10 @@ def test_virtual_section_matches_parent_commit(store, channels, threads):
     assert section["pagecache"]["evictions"] > 0
     assert section["major_compactions"] > 0
     assert section["found"] > 0 and section["scanned"] > 0
+    if store == "l2sm":
+        # ... and l2sm's hot tier: dumps, GCs, a non-empty hot index
+        hot = section["hot"]
+        assert hot["dumps"] > 0 and hot["gcs"] > 0 and hot["keys"] > 0
     name = f"{store}-{channels}ch{threads}thr"
     assert digest(section) == PINNED[name], json.dumps(
         section, sort_keys=True, indent=1
@@ -197,10 +237,9 @@ def test_tuned_section_matches_parent_commit(store, channels, threads):
 
 
 if __name__ == "__main__":
-    for store_name in sorted(STORES):
-        for ch, thr in SHAPES:
-            key = f"{store_name}-{ch}ch{thr}thr"
-            print(f'    "{key}": "{digest(virtual_section(store_name, ch, thr))}",')
+    for store_name, ch, thr in ROWS:
+        key = f"{store_name}-{ch}ch{thr}thr"
+        print(f'    "{key}": "{digest(virtual_section(store_name, ch, thr))}",')
     for store_name in TUNED_STORES:
         for ch, thr in SHAPES:
             key = f"{store_name}-tuned-{ch}ch{thr}thr"
