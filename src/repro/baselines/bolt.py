@@ -82,6 +82,6 @@ class BoLT(DB):
         t = handle.fsync(at=t, reason="major")
         return t
 
-    def get(self, key, at):
-        value, t = super().get(key, at)
+    def get(self, key, at, snapshot=None):
+        value, t = super().get(key, at, snapshot)
         return value, t + LOGICAL_LOOKUP_NS

@@ -17,8 +17,9 @@ Behavioural model:
 - when the hot log outgrows its budget it is garbage-collected: still-hot
   entries move to a fresh log, the rest are demoted into the main tree
   as a regular SSTable;
-- reads check memtable -> hot index -> levels; scans merge the hot
-  entries in.
+- reads check memtable -> hot index -> levels (``DB.get`` probes the
+  hot index through the ``_hot_get`` hook); scans merge the hot entries
+  in.
 
 Invariant: the hot index always holds the globally newest version of its
 keys (dumping a key through the cold path removes any staler hot entry),
@@ -225,47 +226,14 @@ class L2SMLike(DB):
     # read path
     # ------------------------------------------------------------------
 
-    def get(self, key: bytes, at: int, snapshot=None):
-        from repro.lsm.format import MAX_SEQUENCE
-
-        self.stats.gets += 1
-        bound = self._bound_of(snapshot)
-        table_bound = bound if bound is not None else MAX_SEQUENCE
-        t = at + self.cpu.memtable_lookup_ns
-        self.events.run_until(t)
-        self._advance_background(t)
-        hit = self.mem.get(key, sequence_bound=bound)
-        if hit is not None:
-            found, value = hit
-            return (value if found else None), t
-        if self._pending_imm is not None:
-            hit = self._pending_imm[0].get(key, sequence_bound=bound)
-            if hit is not None:
-                t += self.cpu.memtable_lookup_ns
-                found, value = hit
-                return (value if found else None), t
+    def _hot_get(
+        self, key: bytes, bound: Optional[int]
+    ) -> Optional[Tuple[bool, bytes]]:
+        """The hot index's answer for ``DB.get`` (memtables missed)."""
         entry = self._hot_index.get(key)
-        if entry is not None and (bound is None or entry.sequence <= bound):
-            t += self.cpu.memtable_lookup_ns
-            if entry.value_type == TYPE_DELETION:
-                return None, t
-            return entry.value, t
-        first_probe = None
-        probes = 0
-        for level, meta in self._files_for_get(key):
-            table, t = self.table_cache.get_table(meta.number, at=t)
-            result, t = table.get(key, at=t, sequence_bound=table_bound)
-            probes += 1
-            if probes == 1:
-                first_probe = (level, meta)
-            if result is not None:
-                if probes > 1:
-                    self._charge_seek(first_probe, t)
-                found, value = result
-                return (value if found else None), t
-        if probes > 1:
-            self._charge_seek(first_probe, t)
-        return None, t
+        if entry is None or (bound is not None and entry.sequence > bound):
+            return None
+        return entry.value_type != TYPE_DELETION, entry.value
 
     def _iterator_sources(self, at: int):
         """Merge the hot store into the normal iterator sources."""

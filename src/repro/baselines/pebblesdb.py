@@ -29,13 +29,10 @@ import bisect
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.stack import StorageStack
-from repro.lsm.compaction import Compaction
+from repro.lsm.compaction import Compaction, VersionKeeper
 from repro.lsm.db import DB
-from repro.lsm.filenames import table_file_name
-from repro.lsm.format import TYPE_DELETION
 from repro.lsm.options import Options
-from repro.lsm.sstable import TableBuilder
-from repro.lsm.version import FileMetaData, VersionEdit
+from repro.lsm.version import FileMetaData
 
 #: merge (rewrite) a guard once it holds this many files; FLSM tolerates
 #: several overlapping files per guard before paying a rewrite
@@ -85,34 +82,19 @@ class PebblesDBLike(DB):
     # ------------------------------------------------------------------
 
     def _files_for_get(self, key: bytes) -> List[Tuple[int, FileMetaData]]:
-        version = self.versions.current
-        candidates: List[Tuple[int, FileMetaData]] = []
-        for level in range(self.options.num_levels):
-            hits = [
-                meta
-                for meta in version.files[level]
-                if not meta.shadow
-                and meta.smallest[:-8] <= key <= meta.largest[:-8]
-            ]
-            hits.sort(key=lambda f: f.number, reverse=True)
-            candidates.extend((level, meta) for meta in hits)
-        return candidates
+        return [
+            (level, meta)
+            for level, files in enumerate(self.versions.current.files)
+            for meta in self._newest_first(files)
+            if meta.smallest[:-8] <= key <= meta.largest[:-8]
+        ]
 
-    def _iterator_sources(self, at: int):
+    def _table_sources(self, at: int) -> List[object]:
         """FLSM levels overlap, so scans need one source per file."""
-        from repro.lsm.iterator import MemTableIterator
-
-        sources = [MemTableIterator(self.mem, at)]
-        if self._pending_imm is not None:
-            sources.append(MemTableIterator(self._pending_imm[0], at))
+        sources: List[object] = []
         t = at
-        version = self.versions.current
-        for level in range(self.options.num_levels):
-            for meta in sorted(
-                version.files[level], key=lambda f: f.number, reverse=True
-            ):
-                if meta.shadow:
-                    continue
+        for files in self.versions.current.files:
+            for meta in self._newest_first(files):
                 table, t = self.table_cache.get_table(meta.number, at=t)
                 sources.append(table.iterate(t))
         return sources
@@ -149,16 +131,11 @@ class PebblesDBLike(DB):
                 break
         return guards
 
-    def _partition(
-        self, guards: List[bytes], entries: List[Tuple[bytes, bytes]]
-    ) -> List[List[Tuple[bytes, bytes]]]:
-        """Split internal-key entries into guard ranges."""
-        buckets: List[List[Tuple[bytes, bytes]]] = [
-            [] for _ in range(len(guards) + 1)
-        ]
-        for internal_key, value in entries:
-            idx = bisect.bisect_right(guards, internal_key[:-8])
-            buckets[idx].append((internal_key, value))
+    def _partition(self, guards: List[bytes], entries: list) -> List[list]:
+        """Split decorated entries (see ``DB._read_sorted``) by guard."""
+        buckets: List[list] = [[] for _ in range(len(guards) + 1)]
+        for entry in entries:
+            buckets[bisect.bisect_right(guards, entry[0])].append(entry)
         return buckets
 
     def _guard_range_files(
@@ -228,32 +205,17 @@ class PebblesDBLike(DB):
         The level n+1 files LevelDB would have merged (compaction.overlaps)
         are left untouched unless their guard is overfull.
         """
-        self.stats.major_compactions += 1
-        t = at
-        level = compaction.level
+        span = self._start_major(compaction, at)
         output_level = compaction.output_level
-
-        entries: List[Tuple[bytes, bytes]] = []
-        for meta in compaction.inputs:
-            table, t = self.table_cache.get_table(meta.number, at=t)
-            file_entries, t = table.all_entries(at=t)
-            entries.extend(file_entries)
+        entries, t = self._read_sorted(compaction.inputs, at)
         self.stats.bytes_compacted_in += sum(
             f.file_size for f in compaction.inputs
-        )
-        entries.sort(
-            key=lambda kv: (kv[0][:-8], ~int.from_bytes(kv[0][-8:], "little"))
         )
         t += len(entries) * (self.cpu.merge_entry_ns + PARTITION_ENTRY_NS)
 
         guards = self._ensure_guards(
-            output_level, [e[0][:-8] for e in entries]
+            output_level, [entry[0] for entry in entries]
         )
-        buckets = self._partition(guards, entries)
-
-        edit = VersionEdit()
-        for meta in compaction.inputs:
-            edit.delete_file(level, meta.number)
         outputs: List[FileMetaData] = []
         merged_away: List[FileMetaData] = []
 
@@ -261,8 +223,8 @@ class PebblesDBLike(DB):
         # sliver per guard does not become a file per guard; it is cut at
         # a guard boundary once it reaches half the target file size, and
         # always flushed around a guard merge.
-        builder: Optional[TableBuilder] = None
-        for idx, bucket in enumerate(buckets):
+        builder = None
+        for idx, bucket in enumerate(self._partition(guards, entries)):
             if not bucket:
                 continue
             lo = guards[idx - 1] if idx > 0 else None
@@ -273,25 +235,17 @@ class PebblesDBLike(DB):
                 if builder is not None:
                     builder, t = self._finish_output(builder, outputs, t)
                 self.guard_merges += 1
-                for meta in resident:
-                    table, t = self.table_cache.get_table(meta.number, at=t)
-                    file_entries, t = table.all_entries(at=t)
-                    bucket.extend(file_entries)
-                    edit.delete_file(output_level, meta.number)
-                    merged_away.append(meta)
+                resident_entries, t = self._read_sorted(resident, t)
+                merged_away.extend(resident)
                 self.stats.bytes_compacted_in += sum(
                     f.file_size for f in resident
                 )
-                bucket.sort(
-                    key=lambda kv: (
-                        kv[0][:-8],
-                        ~int.from_bytes(kv[0][-8:], "little"),
-                    )
-                )
+                bucket.extend(resident_entries)
+                bucket.sort()
                 t += len(bucket) * self.cpu.merge_entry_ns
                 drop_tombstones = output_level >= self._deepest_level()
                 builder, t = self._write_bucket(
-                    bucket, output_level, drop_tombstones, outputs, t, None
+                    bucket, drop_tombstones, outputs, t, None
                 )
                 if builder is not None:
                     builder, t = self._finish_output(builder, outputs, t)
@@ -303,64 +257,38 @@ class PebblesDBLike(DB):
                 ):
                     builder, t = self._finish_output(builder, outputs, t)
                 builder, t = self._write_bucket(
-                    bucket, output_level, False, outputs, t, builder
+                    bucket, False, outputs, t, builder
                 )
         if builder is not None:
             builder, t = self._finish_output(builder, outputs, t)
-
-        t = self._persist_major_outputs(outputs, t)
-        for meta in outputs:
-            edit.add_file(output_level, meta)
-        if compaction.inputs:
-            edit.compact_pointers.append(
-                (level, max(f.largest[:-8] for f in compaction.inputs))
-            )
-        t = self.versions.log_and_apply(edit, t)
         disposed = Compaction(
-            level=level,
+            level=compaction.level,
             inputs=list(compaction.inputs),
             overlaps=merged_away,
         )
-        t = self._dispose_inputs(disposed, outputs, t)
-        return t
+        return self._install_major(disposed, outputs, span, t)
 
     def _write_bucket(
         self,
-        bucket: List[Tuple[bytes, bytes]],
-        output_level: int,
+        bucket: list,
         drop_tombstones: bool,
         outputs: List[FileMetaData],
         at: int,
-        builder: Optional[TableBuilder],
-    ) -> Tuple[Optional[TableBuilder], int]:
+        builder,
+    ) -> tuple:
         """Append a bucket's entries, reusing/returning an open builder."""
-        from repro.lsm.compaction import VersionKeeper
-
         t = at
-        keeper = VersionKeeper(self._smallest_snapshot(), drop_tombstones)
-        for internal_key, value in bucket:
-            user_key = internal_key[:-8]
-            tag = int.from_bytes(internal_key[-8:], "little")
-            if not keeper.keep(user_key, tag >> 8, tag & 0xFF):
+        keep = VersionKeeper(self._smallest_snapshot(), drop_tombstones).keep
+        max_file_size = self.options.max_file_size
+        for user_key, neg_tag, internal_key, value in bucket:
+            tag = ~neg_tag
+            if not keep(user_key, tag >> 8, tag & 0xFF):
                 continue
-            if (
-                builder is not None
-                and builder.current_size >= self.options.max_file_size
-            ):
+            if builder is not None and builder.current_size >= max_file_size:
                 builder, t = self._finish_output(builder, outputs, t)
             if builder is None:
-                number = self.versions.new_file_number()
-                builder = TableBuilder(
-                    self.fs,
-                    table_file_name(self.dbname, number),
-                    self.options,
-                    t,
-                    number=number,
-                )
+                builder = self._open_output(t)
             builder.add(internal_key, value)
-        if builder is not None and builder.num_entries == 0:
-            t = builder.abandon(t)
-            builder = None
         return builder, t
 
     def _deepest_level(self) -> int:

@@ -17,8 +17,8 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 
 #: the seven stores of Figures 4 and 5, plus the volatile baseline and
-#: the key-value-separated NobLSM variant (inert unless the options set
-#: ``value_threshold``)
+#: the key-value-separated NobLSM variant (which requires
+#: ``Options.value_threshold``)
 STORE_CLASSES: Dict[str, Type[DB]] = {
     "leveldb": DB,
     "bolt": BoLT,

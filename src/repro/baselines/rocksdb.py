@@ -77,5 +77,5 @@ class RocksDBLike(DB):
             t += min(delay, WRITE_CONTROLLER_CAP_NS)
         return super().write(entries, t)
 
-    def get(self, key, at):
-        return super().get(key, at + READ_PATH_OVERHEAD_NS)
+    def get(self, key, at, snapshot=None):
+        return super().get(key, at + READ_PATH_OVERHEAD_NS, snapshot)

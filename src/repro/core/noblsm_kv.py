@@ -2,9 +2,9 @@
 
 Keys and small values stay in the LSM; values of at least
 ``Options.value_threshold`` bytes move to an append-only vLog at flush
-time (see :mod:`repro.lsm.vlog` for the stored-value encoding). With
-``value_threshold=None`` — the default — every hook stays unbound and
-the store behaves byte-identically to plain :class:`NobLSM`.
+time (see :mod:`repro.lsm.vlog` for the stored-value encoding). The
+store requires ``value_threshold``; :class:`NobLSM` is the store without
+separation.
 
 Durability extends the paper's commit-gated retirement to space
 reclamation:
@@ -55,8 +55,11 @@ class NobLSMKV(NobLSM):
         options: Optional[Options] = None,
     ) -> None:
         opts = options if options is not None else Options()
-        self._kv_enabled = opts.value_threshold is not None
-        self.vlog: Optional[VLog] = None
+        if opts.value_threshold is None:
+            raise ValueError(
+                "noblsm-kv needs Options.value_threshold "
+                "(use noblsm for a store without a value log)"
+            )
         #: (segment, barrier inos) awaiting their commit gate
         self._segment_retirements: List[Tuple[int, List[int]]] = []
         #: per-compaction state (background jobs run host-serially)
@@ -64,39 +67,36 @@ class NobLSMKV(NobLSM):
         self._compaction_touched: Set[int] = set()
         self._compaction_dest_inos: Set[int] = set()
         reopened = stack.fs.exists(current_file_name(dbname))
-        if self._kv_enabled:
-            self.vlog = VLog(
-                stack.fs,
-                dbname,
-                opts.vlog_segment_bytes,
-                opts.vlog_gc_garbage_ratio,
-                obs=stack.obs,
-            )
-            # binding the hooks (instance attributes shadowing the DB
-            # class defaults) is what switches the shared code paths over
-            self._kv_separate = self._separate_value
-            self._kv_rewrite = self._rewrite_value
-            self._kv_drop = self._drop_value
-            self._kv_resolve = self.vlog.resolve
+        self.vlog = VLog(
+            stack.fs,
+            dbname,
+            opts.vlog_segment_bytes,
+            opts.vlog_gc_garbage_ratio,
+            obs=stack.obs,
+        )
+        # binding the hooks (instance attributes shadowing the DB class
+        # defaults) is what switches the shared code paths over
+        self._kv_separate = self._separate_value
+        self._kv_rewrite = self._rewrite_value
+        self._kv_drop = self._drop_value
+        self._kv_resolve = self.vlog.resolve
         super().__init__(stack, dbname, options=opts)
-        if self._kv_enabled:
-            if self._observe:
-                self.obs.register_source(f"db.{dbname}.vlog", self.vlog.snapshot)
-            if reopened:
-                self._rebuild_vlog_accounting(self.stack.now)
+        if self._observe:
+            self.obs.register_source(f"db.{dbname}.vlog", self.vlog.snapshot)
+        if reopened:
+            self._rebuild_vlog_accounting(self.stack.now)
 
     # ------------------------------------------------------------------
     # write path: values carry the inline marker from the start
     # ------------------------------------------------------------------
 
     def write(self, entries: List[BatchEntry], at: int) -> int:
-        if self._kv_enabled:
-            entries = [
-                (value_type, key, INLINE_PREFIX + value)
-                if value_type == TYPE_VALUE
-                else (value_type, key, value)
-                for value_type, key, value in entries
-            ]
+        entries = [
+            (value_type, key, INLINE_PREFIX + value)
+            if value_type == TYPE_VALUE
+            else (value_type, key, value)
+            for value_type, key, value in entries
+        ]
         return super().write(entries, at)
 
     # ------------------------------------------------------------------
@@ -144,8 +144,6 @@ class NobLSMKV(NobLSM):
     # ------------------------------------------------------------------
 
     def _prepare_minor_sync(self, at: int) -> int:
-        if not self._kv_enabled:
-            return at
         return self.vlog.sync_dirty(at)
 
     def _dispose_inputs(
@@ -155,8 +153,6 @@ class NobLSMKV(NobLSM):
         at: int,
     ) -> int:
         t = super()._dispose_inputs(compaction, outputs, at)
-        if not self._kv_enabled:
-            return t
         touched = self._compaction_touched
         dest_inos = self._compaction_dest_inos
         self._compaction_touched = set()
@@ -200,10 +196,7 @@ class NobLSMKV(NobLSM):
         # to be reclaimed) is necessarily committed *right now* — its own
         # data journaled no later than the successors that release it —
         # but would read as never-committed one unlink later.
-        t = at
-        if not self._kv_enabled:
-            return super()._reclaim_pass(t)
-        t = self._register_dead_segments(t)
+        t = self._register_dead_segments(at)
         passed: List[int] = []
         remaining: List[Tuple[int, List[int]]] = []
         for segment, barrier in self._segment_retirements:
@@ -245,8 +238,6 @@ class NobLSMKV(NobLSM):
     def _validate_recovered_file(self, meta: FileMetaData) -> bool:
         if not super()._validate_recovered_file(meta):
             return False
-        if not self._kv_enabled:
-            return True
         from repro.lsm.format import CorruptionError
         from repro.lsm.sstable import Table
         from repro.lsm.filenames import table_file_name
@@ -268,8 +259,6 @@ class NobLSMKV(NobLSM):
         return self._pointers_resolve(entries)
 
     def _orphan_intact(self, table) -> bool:
-        if not self._kv_enabled:
-            return True
         entries, _ = table.all_entries(at=self.stack.now)
         return self._pointers_resolve(entries)
 
@@ -326,6 +315,5 @@ class NobLSMKV(NobLSM):
 
     def describe(self) -> Dict[str, object]:
         doc = super().describe()
-        if self._kv_enabled:
-            doc["vlog"] = self.vlog.snapshot()
+        doc["vlog"] = self.vlog.snapshot()
         return doc

@@ -19,10 +19,30 @@ passes, and whatever backlog remains when a benchmark window closes is
 only executed by an explicit ``wait_for_background`` — matching how a
 real timed run leaves deep-level compactions for later.
 
-Subclasses (NobLSM, the baselines) override the small persistence hooks
-``_persist_major_outputs`` and ``_dispose_inputs`` to change *when and
-how* new SSTables are made durable — which is the entire design space
-the paper explores.
+``DB.get`` is the only code that reads memtables and tables for a point
+lookup, and every new SSTable (minor dump, major merge, PebblesDB guard
+append) is opened by ``_open_output`` and finished by ``_finish_output``.
+Subclasses change policy, never plumbing, through these hooks:
+
+- ``_persist_major_outputs``: NobLSM (no sync), BoLT (one barrier);
+- ``_dispose_inputs``: NobLSM (shadows), noblsm-kv (segment barriers);
+- ``_prepare_minor_sync``: noblsm-kv (vLog sync before the L0 sync);
+- ``_recovery_validator``: NobLSM (lost major outputs roll back);
+- ``_adopt_orphan_tables``: NobLSM (L0 tables whose edit was lost);
+- ``_protected_table_numbers``: NobLSM (shadows survive recovery);
+- ``_kv_separate``/``_kv_rewrite``/``_kv_drop``/``_kv_resolve``: noblsm-kv;
+- ``_compact_memtable``: L2SM (hot/cold split of the dump);
+- ``_hot_get``: L2SM (hot index, between the memtables and the tables);
+- ``_iterator_sources``: L2SM (hot index merged into scans);
+- ``_pick_size_compaction``: PebblesDB (whole overlapping guard runs);
+- ``_major_compaction_work``: PebblesDB (guard append vs. merge);
+- ``_files_for_get``, ``_table_sources``: PebblesDB (files overlap);
+- ``write``: PebblesDB, RocksDB (latency), noblsm-kv (inline marker);
+- ``get``: BoLT, RocksDB (latency wrappers);
+- ``close``: NobLSM (settle the journal, reclaim).
+
+The first two decide *when and how* new SSTables become durable — the
+design space the paper explores.
 """
 
 from __future__ import annotations
@@ -215,6 +235,8 @@ class DB:
     _kv_rewrite: Optional[Callable[[bytes, int], Tuple[bytes, int]]] = None
     _kv_drop: Optional[Callable[[bytes], None]] = None
     _kv_resolve: Optional[Callable[[bytes, int], Tuple[bytes, int]]] = None
+    #: hot-tier probe (L2SM), same idiom: (key, bound) -> (found, value)
+    _hot_get: Optional[Callable[..., Optional[Tuple[bool, bytes]]]] = None
 
     def __init__(
         self,
@@ -895,48 +917,30 @@ class DB:
             span.annotate(carries=self._imm_trace_count)
             self._imm_trace_spans = []
             self._imm_trace_count = 0
-        number = self.versions.new_file_number()
-        path = table_file_name(self.dbname, number)
-        builder = TableBuilder(self.fs, path, self.options, at, number=number)
+        builder = self._open_output(at)
         t = at
-        count = 0
         separate = self._kv_separate
-        if separate is None:
-            for user_key, sequence, value_type, value in imm.sorted_entries():
-                builder.add(
-                    make_internal_key(user_key, sequence, value_type), value
-                )
-                count += 1
-        else:
-            for user_key, sequence, value_type, value in imm.sorted_entries():
-                if value_type == TYPE_VALUE:
-                    value, t = separate(value, t)
-                builder.add(
-                    make_internal_key(user_key, sequence, value_type), value
-                )
-                count += 1
+        for user_key, sequence, value_type, value in imm.sorted_entries():
+            if separate is not None and value_type == TYPE_VALUE:
+                value, t = separate(value, t)
+            builder.add(
+                make_internal_key(user_key, sequence, value_type), value
+            )
+        count = builder.num_entries
         t += count * self.cpu.merge_entry_ns
-        size, t = builder.finish(t)
-        self.table_cache.adopt(number, builder.built)
-        self.stats.bytes_flushed += size
-        handle = builder.handle
+        outputs: List[FileMetaData] = []
+        _, t = self._finish_output(builder, outputs, t)
+        meta = outputs[0]
+        self.stats.bytes_flushed += meta.file_size
         t = self._prepare_minor_sync(t)
         if self.options.sync.sync_minor:
-            t = handle.fdatasync(at=t, reason="minor")
-        meta = FileMetaData(
-            number=number,
-            file_size=size,
-            smallest=builder.smallest,
-            largest=builder.largest,
-            ino=handle.ino,
-        )
+            t = builder.handle.fdatasync(at=t, reason="minor")
         level = self.versions.current.pick_level_for_memtable_output(
             meta.smallest[:-8], meta.largest[:-8], self.options
         )
         if self._tracer is not None:
             # the journal commit covering this inode closes the chain
-            self._tracer.bind_inode(handle.ino, span)
-        t = self._persist_minor_output(meta, t)
+            self._tracer.bind_inode(meta.ino, span)
         edit = VersionEdit(log_number=self._wal_number)
         edit.add_file(level, meta)
         t = self.versions.log_and_apply(edit, t)
@@ -946,7 +950,10 @@ class DB:
             frozenset((level,)), meta.smallest[:-8], meta.largest[:-8], t
         )
         span.annotate(
-            table=number, level=level, output_bytes=size, entries=count
+            table=meta.number,
+            level=level,
+            output_bytes=meta.file_size,
+            entries=count,
         )
         span.end(t)
         return t
@@ -959,10 +966,40 @@ class DB:
         """
         return at
 
-    def _persist_minor_output(self, meta: FileMetaData, at: int) -> int:
-        """Hook: extra durability work for a fresh L0 table (NobLSM: none,
-        the fdatasync above is the single per-KV sync)."""
-        return at
+    # ------------------------------------------------------------------
+    # table output: the one path every new SSTable takes
+    # ------------------------------------------------------------------
+
+    def _open_output(self, at: int) -> TableBuilder:
+        """Start a new SSTable under a fresh file number."""
+        number = self.versions.new_file_number()
+        return TableBuilder(
+            self.fs,
+            table_file_name(self.dbname, number),
+            self.options,
+            at,
+            number=number,
+        )
+
+    def _finish_output(
+        self,
+        builder: TableBuilder,
+        outputs: List[FileMetaData],
+        at: int,
+    ) -> Tuple[None, int]:
+        """Write a table out, hand it to the table cache, list its metadata."""
+        size, t = builder.finish(at)
+        self.table_cache.adopt(builder.number, builder.built)
+        outputs.append(
+            FileMetaData(
+                number=builder.number,
+                file_size=size,
+                smallest=builder.smallest,
+                largest=builder.largest,
+                ino=builder.handle.ino,
+            )
+        )
+        return None, t
 
     # ------------------------------------------------------------------
     # major / seek compactions
@@ -974,34 +1011,10 @@ class DB:
             begin, end = compaction.user_range()
             self._note_inflight(compaction.touched_levels(), begin, end, t)
             return t
-        self.stats.major_compactions += 1
-        if compaction.is_seek:
-            self.stats.seek_compactions += 1
-        span = NULL_SPAN
-        if self._observe:
-            span = self.obs.start_span(
-                "db.compaction.major", at, **compaction.span_attrs()
-            )
-        t = at
-        entries: List[Tuple[bytes, bytes]] = []
-        for meta in compaction.all_inputs:
-            table, t = self.table_cache.get_table(meta.number, at=t)
-            file_entries, t = table.all_entries(at=t)
-            entries.extend(file_entries)
+        span = self._start_major(compaction, at)
+        entries, t = self._read_sorted(compaction.all_inputs, at)
         self.stats.bytes_compacted_in += compaction.input_bytes
-        # Decorated sort (user key asc, sequence desc): building the sort
-        # key once per entry and sorting tuples directly beats calling a
-        # key lambda per comparison, and the decoration carries the
-        # (user_key, tag) pair the merge loop below needs anyway. Ties
-        # beyond (user, ~tag) only occur for byte-identical entries, so
-        # tuple comparison cannot reorder distinct ones.
-        from_bytes = int.from_bytes
-        decorated = [
-            (ik[:-8], ~from_bytes(ik[-8:], "little"), ik, value)
-            for ik, value in entries
-        ]
-        decorated.sort()
-        t += len(decorated) * self.cpu.merge_entry_ns
+        t += len(entries) * self.cpu.merge_entry_ns
 
         keeper = VersionKeeper(
             self._smallest_snapshot(), self._is_base_level(compaction)
@@ -1013,7 +1026,7 @@ class DB:
         should_stop_before = cutter.should_stop_before
         kv_drop = self._kv_drop
         kv_rewrite = self._kv_rewrite
-        for user_key, neg_tag, internal_key, value in decorated:
+        for user_key, neg_tag, internal_key, value in entries:
             tag = ~neg_tag
             if not keeper_keep(user_key, tag >> 8, tag & 0xFF):
                 if kv_drop is not None and tag & 0xFF == TYPE_VALUE:
@@ -1027,24 +1040,66 @@ class DB:
                 builder, t = self._finish_output(builder, outputs, t)
                 cutter.reset_for_new_output()
             if builder is None:
-                number = self.versions.new_file_number()
-                builder = TableBuilder(
-                    self.fs,
-                    table_file_name(self.dbname, number),
-                    self.options,
-                    t,
-                    number=number,
-                )
+                builder = self._open_output(t)
             builder.add(internal_key, value)
-        if builder is not None and builder.num_entries:
+        if builder is not None:
             builder, t = self._finish_output(builder, outputs, t)
-        elif builder is not None:
-            t = builder.abandon(t)
+        t = self._install_major(compaction, outputs, span, t)
+        begin, end = compaction.user_range()
+        self._note_inflight(compaction.touched_levels(), begin, end, t)
+        return t
 
+    def _start_major(self, compaction: Compaction, at: int) -> Span:
+        """Count a merging major; observed runs get its span."""
+        self.stats.major_compactions += 1
+        if compaction.is_seek:
+            self.stats.seek_compactions += 1
+        if not self._observe:
+            return NULL_SPAN
+        return self.obs.start_span(
+            "db.compaction.major", at, **compaction.span_attrs()
+        )
+
+    def _read_sorted(
+        self, files: List[FileMetaData], at: int
+    ) -> Tuple[List[Tuple[bytes, int, bytes, bytes]], int]:
+        """Every entry of ``files`` in merge order, decorated.
+
+        Each entry is ``(user_key, ~tag, internal_key, value)``: building
+        the sort key once per entry and sorting tuples directly beats
+        calling a key lambda per comparison, and the merge loops need the
+        (user_key, tag) pair anyway. Ties beyond (user, ~tag) only occur
+        for byte-identical entries, so tuple comparison cannot reorder
+        distinct ones.
+        """
+        t = at
+        entries: List[Tuple[bytes, bytes]] = []
+        for meta in files:
+            table, t = self.table_cache.get_table(meta.number, at=t)
+            file_entries, t = table.all_entries(at=t)
+            entries.extend(file_entries)
+        from_bytes = int.from_bytes
+        decorated = [
+            (ik[:-8], ~from_bytes(ik[-8:], "little"), ik, value)
+            for ik, value in entries
+        ]
+        decorated.sort()
+        return decorated, t
+
+    def _install_major(
+        self,
+        compaction: Compaction,
+        outputs: List[FileMetaData],
+        span: Span,
+        at: int,
+    ) -> int:
+        """Persist a major's outputs, log its edit, dispose of its inputs."""
+        output_bytes = sum(m.file_size for m in outputs)
+        self.stats.bytes_compacted_out += output_bytes
         if self._tracer is not None:
             for meta in outputs:
                 self._tracer.bind_inode(meta.ino, span)
-        t = self._persist_major_outputs(outputs, t)
+        t = self._persist_major_outputs(outputs, at)
         edit = compaction.make_delete_edit()
         for meta in outputs:
             edit.add_file(compaction.output_level, meta)
@@ -1057,10 +1112,8 @@ class DB:
             )
         t = self.versions.log_and_apply(edit, t)
         t = self._dispose_inputs(compaction, outputs, t)
-        begin, end = compaction.user_range()
-        self._note_inflight(compaction.touched_levels(), begin, end, t)
         span.annotate(
-            output_bytes=sum(m.file_size for m in outputs),
+            output_bytes=output_bytes,
             outputs=len(outputs),
             shadow_retained=sum(
                 1 for m in compaction.all_inputs if m.shadow
@@ -1068,26 +1121,6 @@ class DB:
         )
         span.end(t)
         return t
-
-    def _finish_output(
-        self,
-        builder: TableBuilder,
-        outputs: List[FileMetaData],
-        at: int,
-    ) -> Tuple[None, int]:
-        size, t = builder.finish(at)
-        self.table_cache.adopt(builder.number, builder.built)
-        self.stats.bytes_compacted_out += size
-        outputs.append(
-            FileMetaData(
-                number=builder.number,
-                file_size=size,
-                smallest=builder.smallest,
-                largest=builder.largest,
-                ino=builder.handle.ino,
-            )
-        )
-        return None, t
 
     def _trivial_move(self, compaction: Compaction, at: int) -> int:
         self.stats.trivial_moves += 1
@@ -1154,13 +1187,45 @@ class DB:
     ) -> Tuple[Optional[bytes], int]:
         """Point lookup; returns (value or None, completion_time).
 
-        With a ``snapshot``, the lookup sees the newest version at or
-        below the snapshot's sequence number.
+        Probes the live memtable, the sealed one, the hot tier (L2SM),
+        then the tables in search order. With a ``snapshot``, the lookup
+        sees the newest version at or below the snapshot's sequence
+        number.
         """
+        if self.closed:
+            raise RuntimeError("DB is closed")
         span = None
         if self._tracer is not None:
             span = self.obs.start_span("db.get", at)
-        value, t = self._get_inner(key, at, snapshot)
+        self.stats.gets += 1
+        bound = self._bound_of(snapshot)
+        t = at + self.cpu.memtable_lookup_ns
+        self.events.run_until(t)
+        self._advance_background(t)
+        hit = self.mem.get(key, sequence_bound=bound)
+        if hit is None and self._pending_imm is not None:
+            hit = self._pending_imm[0].get(key, sequence_bound=bound)
+            if hit is not None:
+                t += self.cpu.memtable_lookup_ns
+        if hit is None and self._hot_get is not None:
+            hit = self._hot_get(key, bound)
+            if hit is not None:
+                t += self.cpu.memtable_lookup_ns
+        if hit is None:
+            table_bound = bound if bound is not None else MAX_SEQUENCE
+            first_probe: Optional[Tuple[int, FileMetaData]] = None
+            probes = 0
+            for level, meta in self._files_for_get(key):
+                table, t = self.table_cache.get_table(meta.number, at=t)
+                hit, t = table.get(key, at=t, sequence_bound=table_bound)
+                probes += 1
+                if probes == 1:
+                    first_probe = (level, meta)
+                if hit is not None:
+                    break
+            if probes > 1:
+                self._charge_seek(first_probe, t)
+        value = hit[1] if hit is not None and hit[0] else None
         if value is not None and self._kv_resolve is not None:
             value, t = self._kv_resolve(value, t)
         if span is not None:
@@ -1169,47 +1234,6 @@ class DB:
         if self._observe:
             self._get_hist.record(t - at)
         return value, t
-
-    def _get_inner(
-        self,
-        key: bytes,
-        at: int,
-        snapshot: Optional[Snapshot] = None,
-    ) -> Tuple[Optional[bytes], int]:
-        if self.closed:
-            raise RuntimeError("DB is closed")
-        self.stats.gets += 1
-        bound = self._bound_of(snapshot)
-        table_bound = bound if bound is not None else MAX_SEQUENCE
-        t = at + self.cpu.memtable_lookup_ns
-        self.events.run_until(t)
-        self._advance_background(t)
-        hit = self.mem.get(key, sequence_bound=bound)
-        if hit is not None:
-            found, value = hit
-            return (value if found else None), t
-        if self._pending_imm is not None:
-            hit = self._pending_imm[0].get(key, sequence_bound=bound)
-            if hit is not None:
-                t += self.cpu.memtable_lookup_ns
-                found, value = hit
-                return (value if found else None), t
-        first_probe: Optional[Tuple[int, FileMetaData]] = None
-        probes = 0
-        for level, meta in self._files_for_get(key):
-            table, t = self.table_cache.get_table(meta.number, at=t)
-            result, t = table.get(key, at=t, sequence_bound=table_bound)
-            probes += 1
-            if probes == 1:
-                first_probe = (level, meta)
-            if result is not None:
-                if probes > 1:
-                    self._charge_seek(first_probe, t)
-                found, value = result
-                return (value if found else None), t
-        if probes > 1:
-            self._charge_seek(first_probe, t)
-        return None, t
 
     def _files_for_get(self, key: bytes) -> List[Tuple[int, FileMetaData]]:
         """Hook: candidate files in search order (PebblesDB overrides)."""
@@ -1227,17 +1251,19 @@ class DB:
             self._pending_seek = (level, meta, at)
 
     def _iterator_sources(self, at: int) -> List[object]:
-        """Merge sources: memtables, L0 tables, one iterator per level."""
+        """Merge sources: the live and sealed memtables, then the tables."""
         sources: List[object] = [MemTableIterator(self.mem, at)]
         if self._pending_imm is not None:
             sources.append(MemTableIterator(self._pending_imm[0], at))
+        sources.extend(self._table_sources(at))
+        return sources
+
+    def _table_sources(self, at: int) -> List[object]:
+        """Hook: one source per L0 table, one iterator per deeper level."""
+        sources: List[object] = []
         t = at
         version = self.versions.current
-        for meta in sorted(
-            version.files[0], key=lambda f: f.number, reverse=True
-        ):
-            if meta.shadow:
-                continue
+        for meta in self._newest_first(version.files[0]):
             table, t = self.table_cache.get_table(meta.number, at=t)
             sources.append(table.iterate(t))
         for level in range(1, self.options.num_levels):
@@ -1245,6 +1271,13 @@ class DB:
             if files:
                 sources.append(LevelIterator(self, files, t))
         return sources
+
+    @staticmethod
+    def _newest_first(files: List[FileMetaData]) -> List[FileMetaData]:
+        """Live tables of an overlapping level in the order reads see them."""
+        live = [f for f in files if not f.shadow]
+        live.sort(key=lambda f: f.number, reverse=True)
+        return live
 
     def make_iterator(
         self, at: int, snapshot: Optional[Snapshot] = None

@@ -8,6 +8,7 @@ from repro.baselines.registry import PAPER_STORES, make_store
 from repro.fs.jbd2 import JournalConfig
 from repro.fs.stack import StackConfig, StorageStack
 from repro.lsm.options import KIB, Options
+from repro.obs.metrics import MetricRegistry
 from repro.sim.clock import millis
 
 ALL_STORES = PAPER_STORES + ["volatile"]
@@ -211,3 +212,68 @@ def test_hyperleveldb_uses_smaller_tables():
 def test_make_store_rejects_unknown():
     with pytest.raises(ValueError):
         make_store("cassandra", fast_stack())
+
+
+def observed_stack():
+    return StorageStack(
+        StackConfig(
+            journal=JournalConfig(commit_interval_ns=millis(50)),
+            obs=MetricRegistry(),
+        )
+    )
+
+
+@pytest.mark.parametrize("store_name", ALL_STORES)
+def test_snapshot_read_sees_pinned_value(store_name):
+    stack = fast_stack()
+    db = make_store(store_name, stack, options=small_options())
+    t = 0
+    for key, value in random_ops(400, seed=14):
+        t = db.put(key, value, at=t)
+    t = db.put(b"pinned", b"before", at=t)
+    snapshot = db.get_snapshot()
+    t = db.put(b"pinned", b"after", at=t)
+    value, t = db.get(b"pinned", t, snapshot=snapshot)
+    assert value == b"before"
+    value, t = db.get(b"pinned", t)
+    assert value == b"after"
+
+
+@pytest.mark.parametrize("store_name", ALL_STORES)
+def test_get_after_close_raises(store_name):
+    stack = fast_stack()
+    db = make_store(store_name, stack, options=small_options())
+    t = 0
+    for key, value in random_ops(200, seed=15):
+        t = db.put(key, value, at=t)
+    t = db.close(t)
+    with pytest.raises(RuntimeError, match="closed"):
+        db.get(key, t)
+
+
+@pytest.mark.parametrize("store_name", ALL_STORES)
+def test_every_get_is_observed(store_name):
+    stack = observed_stack()
+    db = make_store(store_name, stack, options=small_options())
+    t = 0
+    ops = random_ops(1200, seed=16, key_space=300)
+    for key, value in ops:
+        t = db.put(key, value, at=t)
+    for key, _ in ops[::4]:
+        _, t = db.get(key, t)
+    histogram = stack.obs.find_histogram("db.get_ns")
+    assert db.stats.gets == len(ops[::4])
+    assert histogram is not None and histogram.count == db.stats.gets
+
+
+def test_pebblesdb_majors_are_observed():
+    stack = observed_stack()
+    db = make_store("pebblesdb", stack, options=small_options())
+    t = 0
+    for key, value in random_ops(2000, seed=17, key_space=1000):
+        t = db.put(key, value, at=t)
+    db.close(t)
+    assert db.stats.major_compactions > 0
+    histogram = stack.obs.find_histogram("span.db.compaction.major_ns")
+    assert histogram is not None
+    assert histogram.count == db.stats.major_compactions

@@ -120,19 +120,6 @@ def test_kv_fillrandom_document_byte_identical():
     assert first == second
 
 
-def test_kv_threshold_off_fillrandom_matches_noblsm_golden():
-    """The seed configuration (threshold off) of noblsm-kv produces a
-    fillrandom document byte-identical to plain noblsm's — same virtual
-    timings, same stats record — modulo the store name."""
-    def run(store):
-        config = ScaledConfig(scale=20000.0, observe=True, seed=1234)
-        result, _, _ = run_fillrandom(store, config)
-        return dump([result], {"target": "fillrandom"})
-
-    kv = run("noblsm-kv").replace('"noblsm-kv"', '"noblsm"')
-    assert kv == run("noblsm")
-
-
 def test_amplification_sweep_byte_identical():
     """The ``repro.amplification/1`` document — vLog accounting included
     — serializes bit-for-bit across runs."""
@@ -153,29 +140,6 @@ def test_amplification_sweep_byte_identical():
 
     first, second = run(), run()
     assert first == second
-
-
-def test_kv_threshold_off_doc_matches_noblsm_golden():
-    """noblsm-kv with separation off is byte-identical to plain noblsm:
-    the whole amplification row — device bytes, compaction bytes, live
-    bytes, probe counts — must match after renaming the store field."""
-    from repro.bench.amplification import run_amplification_sweep
-
-    rows = run_amplification_sweep(
-        stores=("noblsm", "noblsm-kv"),
-        value_sizes=(1024,),
-        scale=2000.0,
-        num_ops=2000,
-        value_threshold=None,
-        seed=9,
-    )
-    noblsm = [r for r in rows if r["store"] == "noblsm"]
-    kv = [r for r in rows if r["store"] == "noblsm-kv"]
-    assert len(noblsm) == len(kv) == 1
-    renamed = json.dumps(kv[0], sort_keys=True).replace(
-        '"store": "noblsm-kv"', '"store": "noblsm"'
-    )
-    assert renamed == json.dumps(noblsm[0], sort_keys=True)
 
 
 def test_scaled_config_wires_parallelism_knobs():

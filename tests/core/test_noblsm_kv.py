@@ -52,16 +52,12 @@ def settle(db, stack, t):
     return db.reclaim(t)
 
 
-def test_threshold_none_is_inert():
-    """Without value_threshold the kv store is plain NobLSM."""
+def test_threshold_none_is_rejected():
+    """Without value_threshold there is no kv store: noblsm is that store."""
     stack = fast_stack()
-    db = NobLSMKV(stack, options=kv_options(value_threshold=None))
-    assert db.vlog is None
-    keys, t = fill(db, 200)
-    t = settle(db, stack, t)
-    assert not [p for p in stack.fs.list_dir("db/") if p.endswith(".vlg")]
-    value, _ = db.get(keys[-1], at=t)
-    assert value is not None
+    with pytest.raises(ValueError, match="value_threshold"):
+        NobLSMKV(stack, options=kv_options(value_threshold=None))
+    assert not stack.fs.list_dir("db/")
 
 
 def test_separated_values_read_back():
