@@ -7,8 +7,8 @@ PYTHON ?= python
 # PYTHONPATH out by hand; tests/test_makefile_pythonpath.py enforces it.
 RUN = PYTHONPATH=src $(PYTHON)
 
-.PHONY: install test test-fast bench bench-full figures perf-gate \
-	refresh-baselines profile artifacts clean
+.PHONY: install test test-fast figures perf-gate refresh-baselines \
+	profile clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -18,12 +18,6 @@ test:
 
 test-fast:
 	$(RUN) -m pytest tests/ -x -q --ignore=tests/property
-
-bench:
-	$(RUN) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_BENCH_FULL=1 $(RUN) -m pytest benchmarks/ --benchmark-only
 
 figures:
 	$(RUN) -m repro.bench all
@@ -57,10 +51,6 @@ profile:
 		pstats.Stats('results/profile/fillrandom.pstats') \
 		.sort_stats('cumulative').print_stats(30)"
 
-artifacts: test bench
-	$(RUN) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(RUN) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
-
 clean:
-	rm -rf results/*.txt .pytest_cache src/repro.egg-info
+	rm -rf results .pytest_cache src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -3,8 +3,9 @@
 Each ``fig*``/``table*`` function runs the corresponding experiment at a
 configurable scale and returns the same rows/series the paper reports;
 ``render_*`` (table) and ``chart_*`` (ASCII plot) helpers format that
-data without re-running anything. The ``benchmarks/`` pytest-benchmark
-targets are thin wrappers over these functions, and EXPERIMENTS.md
+data without re-running anything. Each is a target of
+``python -m repro.bench`` whose gate (:mod:`repro.bench.targets`)
+checks the paper's claim about it at a CI size, and EXPERIMENTS.md
 records one run of each next to the paper's numbers.
 """
 

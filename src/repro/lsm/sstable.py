@@ -192,11 +192,6 @@ class TableBuilder:
         t += self.fs.cpu.crc_per_kib_ns * (size // 1024 + 1)
         return size, t
 
-    def abandon(self, at: int) -> int:
-        """Drop a partially built table (failed compaction)."""
-        self.finished = True
-        return self.fs.unlink(self.path, at=at)
-
 
 def _lower_bound(keys: List[bytes], target: bytes) -> int:
     """First index whose internal key >= target (internal ordering).

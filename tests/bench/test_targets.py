@@ -5,7 +5,9 @@ figure is computed once however it is rendered; and every gate trips on
 a planted regression. The planted-regression tests copy a gate's
 committed baselines into a temp dir, break one invariant (or push one
 gated metric past its threshold) and assert ``check`` (or ``compare``)
-reports it — no simulation runs, so they stay cheap.
+reports it — no simulation runs, so they stay cheap. One source-level
+regression runs Table 1 at its CI size with NobLSM's central change
+undone and asserts its gate notices.
 """
 
 import copy
@@ -20,6 +22,8 @@ import pytest
 from repro.bench import cli, figures, targets
 from repro.bench.compare import compare_documents
 from repro.bench.targets import GATES, METRICS_BY_SCHEMA, TARGETS, VLOG_KINDS
+from repro.core.noblsm import NobLSM
+from repro.lsm.db import DB
 
 REPO = Path(__file__).resolve().parents[2]
 BASELINES = REPO / "benchmarks" / "baselines"
@@ -32,6 +36,13 @@ def test_fillrandom_takes_its_real_defaults(tmp_path):
     doc = json.loads((tmp_path / "fillrandom.json").read_text())
     assert doc["results"][0]["ops"] == 240
     assert doc["meta"]["seed"] == 0
+
+
+def test_fig2b_takes_its_own_scale():
+    """fig2b used to default to the db_bench figures' scale (500), not
+    the 1000 its experiment is documented at."""
+    args = cli.build_parser().parse_args(["fig2b"])
+    assert args.scale == figures.FIG2B_SCALE == 1000.0
 
 
 @pytest.mark.parametrize(
@@ -183,6 +194,50 @@ def crash_violation(doc):
     doc["total_violations"] = 1
 
 
+def sync_as_cheap_as_direct(doc):
+    doc["series"]["sync"] = dict(doc["series"]["direct"])
+
+
+def syncs_free_at_64mb(doc):
+    points = doc["points"]
+    points["fillrand-64MB-nosync"] = 0.9 * points["fillrand-64MB-sync"]
+
+
+def noblsm_behind_bolt(doc):
+    series = doc["series"]
+    series["noblsm"]["256"] = series["bolt"]["256"]
+
+
+def overwrite_gain_gone(doc):
+    series = doc["series"]
+    series["noblsm"]["4096"] = 0.9 * series["leveldb"]["4096"]
+
+
+def readseq_far_apart(doc):
+    series = doc["series"]
+    series["noblsm"]["1024"] = 4 * series["leveldb"]["1024"]
+
+
+def readrandom_slow(doc):
+    series = doc["series"]
+    series["noblsm"]["1024"] = 2 * series["leveldb"]["1024"]
+
+
+def noblsm_syncs_like_leveldb(doc):
+    stores = doc["stores"]
+    stores["noblsm"]["syncs"] = stores["leveldb"]["syncs"]
+
+
+def load_a_gain_gone(doc):
+    series = doc["series"]
+    series["noblsm"]["load-a"] = 0.9 * series["leveldb"]["load-a"]
+
+
+def workload_c_slow(doc):
+    series = doc["series"]
+    series["noblsm"]["c"] = 1.5 * series["leveldb"]["c"]
+
+
 #: (gate, file, planted regression, text the reported problem contains)
 PLANTED = [
     ("parallelism", "parallelism.json", slow_sweep, "speed-up"),
@@ -193,6 +248,15 @@ PLANTED = [
     ("slo", "timeseries-serve.json", empty_timeseries, "no samples"),
     ("amplification", "amplification.json", kv_without_gain, "wa_device"),
     ("crash-matrix", "crash-matrix.json", crash_violation, "violation"),
+    ("fig2a", "fig2a.json", sync_as_cheap_as_direct, "sync/direct"),
+    ("fig2b", "fig2b.json", syncs_free_at_64mb, "64MB no-sync vs sync"),
+    ("fig4a", "fig4a.json", noblsm_behind_bolt, "noblsm vs bolt"),
+    ("fig4b", "fig4b.json", overwrite_gain_gone, "at 4 KB"),
+    ("fig4c", "fig4c.json", readseq_far_apart, "differ 4x"),
+    ("fig4d", "fig4d.json", readrandom_slow, "1.5x leveldb"),
+    ("table1", "table1.json", noblsm_syncs_like_leveldb, "syncs"),
+    ("fig5a", "fig5a.json", load_a_gain_gone, "load-a"),
+    ("fig5b", "fig5b.json", workload_c_slow, "1.2x leveldb"),
 ]
 
 
@@ -237,6 +301,24 @@ def test_check_trips_on_planted_regression(
     path.write_text(json.dumps(doc))
     problems = check(out_dir)
     assert any(expected in problem for problem in problems), problems
+
+
+def test_table1_trips_when_noblsm_syncs_its_major_outputs(
+    tmp_path, monkeypatch, capsys
+):
+    """A source-level regression: NobLSM persisting its compaction
+    outputs the LevelDB way loses Table 1's sync reduction."""
+
+    def sync_like_leveldb(db, outputs, at):
+        # DB's hook, with the sync_major that noblsm_options clears
+        db.options.sync.sync_major = True
+        return DB._persist_major_outputs(db, outputs, at)
+
+    monkeypatch.setattr(NobLSM, "_persist_major_outputs", sync_like_leveldb)
+    table1 = TARGETS["table1"]
+    assert cli.main(["table1", *table1.ci_argv, "--json", str(tmp_path)]) == 0
+    problems = table1.check(str(tmp_path))
+    assert any("noblsm vs leveldb syncs" in p for p in problems), problems
 
 
 @pytest.mark.parametrize(

@@ -20,27 +20,33 @@ def get_op(key):
     return op
 
 
-def test_writes_serialize_on_writer_mutex():
+STORES = ("leveldb", "noblsm")
+
+
+@pytest.mark.parametrize("threads", [4, 8])
+@pytest.mark.parametrize("store", STORES)
+def test_writes_serialize_on_writer_mutex(store, threads):
     """K write threads gain nothing: the write path is serial."""
     config = ScaledConfig(scale=5000, value_size=512)
     ops = [
         put_op(f"key{i:06d}".encode(), b"v" * 512) for i in range(2000)
     ]
 
-    _, db1 = config.build_store("leveldb")
+    _, db1 = config.build_store(store)
     single_end = ThreadedDriver(db1, threads=1).run(list(ops))
 
-    _, db4 = config.build_store("leveldb")
-    multi_end = ThreadedDriver(db4, threads=4).run(list(ops))
+    _, db_n = config.build_store(store)
+    multi_end = ThreadedDriver(db_n, threads=threads).run(list(ops))
 
     # within 10%: the writer mutex serializes both runs
     assert multi_end == pytest.approx(single_end, rel=0.10)
 
 
-def test_reads_scale_with_threads():
+@pytest.mark.parametrize("store", STORES)
+def test_reads_scale_with_threads(store):
     """Cache-resident reads have no shared lock: 4 threads ~ 4x faster."""
     config = ScaledConfig(scale=5000, value_size=512)
-    stack, db = config.build_store("leveldb")
+    stack, db = config.build_store(store)
     t = 0
     for i in range(2000):
         t = db.put(f"key{i:06d}".encode(), b"v" * 512, at=t)
@@ -69,15 +75,16 @@ def test_thread_clocks_stay_balanced():
     assert clocks[-1] < 3 * clocks[0] + 10_000_000
 
 
-def test_mixed_threads_against_noblsm_and_leveldb():
-    """The fig5b write-heavy shape: NobLSM < LevelDB under 4 threads."""
+@pytest.mark.parametrize("threads", [1, 4, 8])
+def test_mixed_threads_against_noblsm_and_leveldb(threads):
+    """The fig5b write-heavy shape: NobLSM < LevelDB at any thread count."""
     config = ScaledConfig(scale=5000, value_size=1024)
     ends = {}
-    for store in ("leveldb", "noblsm"):
+    for store in STORES:
         _, db = config.build_store(store)
         ops = [
             put_op(f"key{(i * 31) % 1500:06d}".encode(), b"v" * 1024)
             for i in range(3000)
         ]
-        ends[store] = ThreadedDriver(db, threads=4).run(ops)
+        ends[store] = ThreadedDriver(db, threads=threads).run(ops)
     assert ends["noblsm"] < ends["leveldb"]
