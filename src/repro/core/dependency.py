@@ -61,10 +61,10 @@ class DependencyTracker:
     """Global pair of sets plus the p-to-q mappings between them."""
 
     def __init__(self) -> None:
+        #: registration order; the reclaimed prefix is dropped (see
+        #: :meth:`mark_reclaimed`)
         self._groups: Dict[int, DependencyGroup] = {}
         self._ids = itertools.count(1)
-        #: file number -> group that *produced* it (file is a successor)
-        self._produced_by: Dict[int, int] = {}
         #: file number -> group that *consumed* it (file is a predecessor)
         self._consumed_by: Dict[int, int] = {}
         self.groups_registered = 0
@@ -88,8 +88,6 @@ class DependencyTracker:
             barrier_inos=list(barrier_inos or []),
         )
         self._groups[group.group_id] = group
-        for ref in successors:
-            self._produced_by[ref.number] = group.group_id
         for ref in predecessors:
             self._consumed_by[ref.number] = group.group_id
         self.groups_registered += 1
@@ -170,8 +168,7 @@ class DependencyTracker:
         that references a deleted file.
         """
         ready: List[DependencyGroup] = []
-        for group_id in sorted(self._groups):
-            group = self._groups[group_id]
+        for group in self._groups.values():
             if not group.resolved:
                 break
             if not group.reclaimed:
@@ -179,15 +176,27 @@ class DependencyTracker:
         return ready
 
     def mark_reclaimed(self, group: DependencyGroup) -> None:
-        """Predecessors deleted; the group's bookkeeping is finished.
+        """A resolved group's predecessors are deleted; drop what nobody
+        can consult any more.
 
-        Groups stay in the map (they are tiny) so that later groups whose
-        successors this group consumed can still observe ``resolved``.
+        A group is consulted only by an *earlier* group whose successor it
+        consumed (:meth:`_successor_settled` reads its ``resolved``). So
+        the longest prefix of resolved, reclaimed groups is dropped, with
+        its ``_consumed_by`` entries: every group that could consult one
+        of them is in the prefix and already resolved. A group reclaimed
+        out of order stays until every group before it is gone.
         """
         group.reclaimed = True
+        groups = self._groups
+        while groups:
+            first = next(iter(groups.values()))
+            if not (first.reclaimed and first.resolved):
+                break
+            del groups[first.group_id]
+            for ref in first.predecessors:
+                self._consumed_by.pop(ref.number, None)
 
     def clear(self) -> None:
         """Crash: the user-space sets are volatile."""
         self._groups.clear()
-        self._produced_by.clear()
         self._consumed_by.clear()

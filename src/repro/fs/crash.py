@@ -60,7 +60,7 @@ def predict_crash_report(fs: Ext4) -> CrashReport:
             # A committed file whose unlink had not committed reappears,
             # truncated to its own committed size.
             surviving.append(path)
-            reappeared[path] = fs.durable_stat(path) or 0
+            reappeared[path] = fs.durable_stat(path)
     return CrashReport(
         surviving_paths=sorted(surviving),
         lost_paths=sorted(lost),

@@ -59,6 +59,26 @@ def test_mark_reclaimed_removes_from_ready(tracker):
     assert tracker.reclaimable() == []
 
 
+def test_reclaimed_prefix_is_dropped_in_registration_order(tracker):
+    g1 = tracker.register([ref(1)], [ref(10)])
+    g2 = tracker.register([ref(2)], [ref(20)])
+    committed = {1020}
+    tracker.resolve(lambda ino: ino in committed)
+    tracker.mark_reclaimed(g2)  # out of order: g1 still blocks it
+    assert list(tracker._groups) == [g1.group_id, g2.group_id]
+    committed.add(1010)
+    tracker.resolve(lambda ino: ino in committed)
+    tracker.mark_reclaimed(g1)
+    assert tracker._groups == {} and tracker._consumed_by == {}
+
+
+def test_unresolved_group_marked_reclaimed_is_kept(tracker):
+    g1 = tracker.register([ref(1)], [ref(10)])
+    tracker.mark_reclaimed(g1)
+    assert list(tracker._groups) == [g1.group_id]
+    assert tracker.resolve(lambda ino: True) == [g1]
+
+
 def test_shadow_numbers_until_reclaimed(tracker):
     g1 = tracker.register([ref(1), ref(2)], [ref(10)])
     assert tracker.shadow_numbers() == {1, 2}

@@ -152,3 +152,31 @@ def test_discard_volatile_resets(stack):
     stack.journal.discard_volatile()
     assert stack.journal.running is None
     assert stack.journal.txn_of(handle.ino) is None
+
+
+def test_committed_transactions_leave_the_inode_map(stack):
+    durable, t = dirty_file(stack, "durable")
+    t = durable.fsync(at=t)  # forced commit
+    lazy, t = dirty_file(stack, "lazy")
+    stack.fs.writeback_inode(lazy.ino, t)  # joins; committed async
+    stack.fs.unlink("durable", at=t)
+    stack.settle()
+    assert stack.journal.commits >= 2
+    assert not any(
+        txn.state is TxnState.COMMITTED
+        for txn in stack.journal._ino_txn.values()
+    )
+    assert stack.journal._ino_txn == {}
+
+
+def test_fsync_after_async_commit_forces_nothing(stack):
+    handle, t = dirty_file(stack, "f")
+    stack.fs.writeback_inode(handle.ino, t)
+    stack.settle()  # the periodic commit made it durable
+    commits = stack.journal.commits
+    forced = stack.journal.forced_commits
+    at = stack.now
+    assert stack.journal.wait_for_inode(handle.ino, at) == at
+    handle.fsync(at=at)
+    assert stack.journal.commits == commits
+    assert stack.journal.forced_commits == forced
