@@ -29,7 +29,7 @@ import bisect
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.stack import StorageStack
-from repro.lsm.compaction import Compaction, VersionKeeper
+from repro.lsm.compaction import Compaction
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.version import FileMetaData
@@ -244,8 +244,8 @@ class PebblesDBLike(DB):
                 bucket.sort()
                 t += len(bucket) * self.cpu.merge_entry_ns
                 drop_tombstones = output_level >= self._deepest_level()
-                builder, t = self._write_bucket(
-                    bucket, drop_tombstones, outputs, t, None
+                builder, t = self._write_merged(
+                    bucket, drop_tombstones, outputs, t
                 )
                 if builder is not None:
                     builder, t = self._finish_output(builder, outputs, t)
@@ -256,7 +256,7 @@ class PebblesDBLike(DB):
                     and builder.current_size >= self.options.max_file_size // 2
                 ):
                     builder, t = self._finish_output(builder, outputs, t)
-                builder, t = self._write_bucket(
+                builder, t = self._write_merged(
                     bucket, False, outputs, t, builder
                 )
         if builder is not None:
@@ -267,29 +267,6 @@ class PebblesDBLike(DB):
             overlaps=merged_away,
         )
         return self._install_major(disposed, outputs, span, t)
-
-    def _write_bucket(
-        self,
-        bucket: list,
-        drop_tombstones: bool,
-        outputs: List[FileMetaData],
-        at: int,
-        builder,
-    ) -> tuple:
-        """Append a bucket's entries, reusing/returning an open builder."""
-        t = at
-        keep = VersionKeeper(self._smallest_snapshot(), drop_tombstones).keep
-        max_file_size = self.options.max_file_size
-        for user_key, neg_tag, internal_key, value in bucket:
-            tag = ~neg_tag
-            if not keep(user_key, tag >> 8, tag & 0xFF):
-                continue
-            if builder is not None and builder.current_size >= max_file_size:
-                builder, t = self._finish_output(builder, outputs, t)
-            if builder is None:
-                builder = self._open_output(t)
-            builder.add(internal_key, value)
-        return builder, t
 
     def _deepest_level(self) -> int:
         deepest = 0

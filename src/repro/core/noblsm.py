@@ -164,7 +164,7 @@ class NobLSM(DB):
                 table, t = Table.open(self.fs, path, at=t)
             except CorruptionError:
                 continue  # volatile tail lost in the crash: not durable
-            if not table.index.keys:
+            if not table.index_keys:
                 continue
             if not self._orphan_intact(table):
                 continue

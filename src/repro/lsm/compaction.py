@@ -9,7 +9,9 @@
   bounded grandparent overlap is moved without rewriting.
 
 Output files are cut at ``max_file_size`` or when they would overlap too
-much of level+2 (the grandparent limit), as in LevelDB.
+much of level+2 (the grandparent limit), as in LevelDB; that rule and
+the snapshot drop rule run inline in the store's one compaction output
+loop, ``DB._write_merged``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.lsm.format import TYPE_DELETION
 from repro.lsm.options import Options
 from repro.lsm.version import FileMetaData, VersionEdit, VersionSet
 
@@ -283,96 +284,3 @@ class CompactionSchedule:
                 continue
             clearance = job.done if clearance is None else max(clearance, job.done)
         return clearance
-
-
-class VersionKeeper:
-    """LevelDB's snapshot-aware drop rule during a compaction merge.
-
-    Walking entries in internal-key order (user key ascending, sequence
-    descending), a version is dropped once a *newer* version of the same
-    key exists at or below the smallest live snapshot — no reader can
-    ever observe it. Tombstones that reach the base level are dropped
-    too, once they are invisible to every snapshot.
-    """
-
-    __slots__ = (
-        "smallest_snapshot",
-        "drop_tombstones",
-        "_last_user",
-        "_has_newer_visible_everywhere",
-        "dropped",
-    )
-
-    def __init__(self, smallest_snapshot: int, drop_tombstones: bool) -> None:
-        self.smallest_snapshot = smallest_snapshot
-        self.drop_tombstones = drop_tombstones
-        self._last_user: Optional[bytes] = None
-        self._has_newer_visible_everywhere = False
-        self.dropped = 0
-
-    def keep(self, user_key: bytes, sequence: int, value_type: int) -> bool:
-        if user_key != self._last_user:
-            self._last_user = user_key
-            self._has_newer_visible_everywhere = False
-        if self._has_newer_visible_everywhere:
-            self.dropped += 1
-            return False
-        if sequence <= self.smallest_snapshot:
-            # this version is the newest one every snapshot can see;
-            # everything older for this key is shadowed
-            self._has_newer_visible_everywhere = True
-            if value_type == TYPE_DELETION and self.drop_tombstones:
-                self.dropped += 1
-                return False
-        return True
-
-
-class OutputCutter:
-    """Decides when to finish the current output file (LevelDB rules)."""
-
-    __slots__ = (
-        "grandparents",
-        "_max_file_size",
-        "_overlap_limit",
-        "_gp_bounds",
-        "_gp_count",
-        "_gp_index",
-        "_overlap_bytes",
-    )
-
-    def __init__(self, compaction: Compaction, options: Options) -> None:
-        self.grandparents = compaction.grandparents
-        self._max_file_size = options.max_file_size
-        self._overlap_limit = options.grandparent_overlap_limit()
-        # (largest user key, file size) per grandparent, sliced once
-        # instead of on every should_stop_before call
-        self._gp_bounds = [
-            (meta.largest[:-8], meta.file_size)
-            for meta in compaction.grandparents
-        ]
-        self._gp_count = len(self._gp_bounds)
-        self._gp_index = 0
-        self._overlap_bytes = 0
-
-    def should_stop_before(self, user_key: bytes, current_output_size: int) -> bool:
-        if current_output_size >= self._max_file_size:
-            return True
-        # Advance through grandparents the key has passed, accumulating
-        # overlap; cut when the next output would overlap too much of
-        # level + 2.
-        bounds = self._gp_bounds
-        index = self._gp_index
-        count = self._gp_count
-        overlap = self._overlap_bytes
-        while index < count and user_key > bounds[index][0]:
-            overlap += bounds[index][1]
-            index += 1
-        self._gp_index = index
-        if overlap > self._overlap_limit:
-            self._overlap_bytes = 0
-            return True
-        self._overlap_bytes = overlap
-        return False
-
-    def reset_for_new_output(self) -> None:
-        self._overlap_bytes = 0

@@ -129,7 +129,7 @@ def _salvage_table(
     path = table_file_name(dbname, number)
     try:
         table, t = Table.open(fs, path, at=at)
-        if not table.index.keys:
+        if not table.index_keys:
             return None, 0, t
         smallest, t = table.smallest_key(t)
         max_seq, t = table.max_sequence(t)

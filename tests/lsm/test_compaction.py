@@ -5,10 +5,10 @@ import pytest
 from repro.fs.stack import StorageStack
 from repro.lsm.compaction import (
     Compaction,
-    OutputCutter,
     pick_seek_compaction,
     pick_size_compaction,
 )
+from repro.lsm.db import DB
 from repro.lsm.format import TYPE_VALUE, make_internal_key
 from repro.lsm.options import Options
 from repro.lsm.version import FileMetaData, Version, VersionSet
@@ -141,12 +141,31 @@ def test_seek_compaction_rejects_last_level(stack):
     assert pick_seek_compaction(versions, options, 2, target) is None
 
 
+def output_ranges(options, user_keys, grandparents=()):
+    """Run the store's compaction output loop over fresh entries; the
+    (first, last) user key of each table it writes."""
+    db = DB(StorageStack(), options=options)
+    entries = [
+        (user, ~((10 << 8) | TYPE_VALUE), ikey(user), b"v" * 100)
+        for user in user_keys
+    ]
+    outputs = []
+    builder, t = db._write_merged(
+        entries, False, outputs, 0, grandparents=list(grandparents)
+    )
+    if builder is not None:
+        db._finish_output(builder, outputs, t)
+    return [(m.smallest[:-8], m.largest[:-8]) for m in outputs]
+
+
 def test_output_cutter_cuts_at_file_size():
+    # 113 encoded bytes per entry: the open table reaches 1000 bytes
+    # (with the 4-byte block trailer) after nine entries
     options = Options(max_file_size=1000)
-    compaction = Compaction(level=1, inputs=[], overlaps=[])
-    cutter = OutputCutter(compaction, options)
-    assert not cutter.should_stop_before(b"key", 500)
-    assert cutter.should_stop_before(b"key", 1000)
+    keys = [f"k{i:02d}".encode() for i in range(20)]
+    assert output_ranges(options, keys) == [
+        (b"k00", b"k08"), (b"k09", b"k17"), (b"k18", b"k19")
+    ]
 
 
 def test_output_cutter_cuts_on_grandparent_overlap():
@@ -156,14 +175,10 @@ def test_output_cutter_cuts_on_grandparent_overlap():
              size=options.grandparent_overlap_limit() // 2)
         for i in range(10)
     ]
-    compaction = Compaction(
-        level=1, inputs=[], overlaps=[], grandparents=grandparents
-    )
-    cutter = OutputCutter(compaction, options)
     # walking past three grandparents accumulates > the overlap limit
-    assert not cutter.should_stop_before(b"k00", 0)
-    assert not cutter.should_stop_before(b"k01", 0)
-    assert cutter.should_stop_before(b"k05", 0)
+    assert output_ranges(options, [b"k00", b"k01", b"k05"], grandparents) == [
+        (b"k00", b"k01"), (b"k05", b"k05")
+    ]
 
 
 def test_compaction_properties():

@@ -1,5 +1,7 @@
 """Unit tests for file naming, table cache and the lazy executor."""
 
+import hashlib
+
 import pytest
 
 from repro.fs.stack import StorageStack
@@ -12,9 +14,9 @@ from repro.lsm.filenames import (
     table_file_name,
     temp_file_name,
 )
-from repro.lsm.format import TYPE_VALUE, make_internal_key
+from repro.lsm.format import TYPE_DELETION, TYPE_VALUE, make_internal_key
 from repro.lsm.options import Options
-from repro.lsm.sstable import TableBuilder
+from repro.lsm.sstable import Table, TableBuilder
 from repro.lsm.tablecache import TableCache
 
 
@@ -103,17 +105,66 @@ def test_table_cache_hand_off_record_lifetime():
     cache = TableCache(stack.fs, "db")
     cache.adopt(1, builder.built)
     table, t = cache.get_table(1, at=0)
-    assert table.index is builder.built.index
+    assert table.index_keys is builder.built.index_keys
     assert table.get(b"key", at=t)[0] == (True, b"v")
     assert not isinstance(payloads[0], bytes)  # nobody asked for bytes
     cache.evict(1)
     table, t = cache.get_table(1, at=t)  # record gone: real parse
-    assert table.index is not builder.built.index
+    assert table.index_keys is not builder.built.index_keys
     assert table.get(b"key", at=t)[0] == (True, b"v")
     assert isinstance(payloads[0], bytes)
     reopened = TableCache(stack.fs, "db")
     table, t = reopened.get_table(1, at=t)
-    assert table.index is not builder.built.index
+    assert table.index_keys is not builder.built.index_keys
+
+
+def wide_entries():
+    """Keys and values of 128 B and more (multi-byte length varints; one
+    value needs three bytes), tombstones among them."""
+    entries = []
+    for i in range(40):
+        user = b"user%03d" % i + b"k" * (120 + 7 * i)
+        if i % 5 == 4:
+            key = make_internal_key(user, 1000 - i, TYPE_DELETION)
+            entries.append((key, b""))
+        else:
+            key = make_internal_key(user, 1000 - i, TYPE_VALUE)
+            entries.append((key, b"v" * (100 + 13 * i)))
+    entries.append((make_internal_key(b"user999", 1, TYPE_VALUE), b"w" * 20_000))
+    return entries
+
+
+#: sha256 of the table ``wide_entries`` builds, as the block-by-block
+#: builder (one BlockBuilder per block, index values encoded as blocks
+#: were cut) laid it out
+WIDE_TABLE_SHA256 = (
+    "0306f2291f63a4531299b4be5de23958f5cb3ce2e8f578ee368ff171ab381982"
+)
+
+
+def test_hand_off_and_real_bytes_open_the_same_table():
+    stack = StorageStack()
+    path = table_file_name("db", 1)
+    builder = TableBuilder(
+        stack.fs, path, Options(block_size=1024), at=0, number=1
+    )
+    entries = wide_entries()
+    for key, value in entries:
+        builder.add(key, value)
+    size, _ = builder.finish(at=0)
+    handed, t = Table.open(stack.fs, path, at=0, number=1, built=builder.built)
+    parsed, u = Table.open(stack.fs, path, at=0, number=1)  # makes the bytes
+    assert handed.index_keys is builder.built.index_keys
+    assert handed.index_keys == parsed.index_keys
+    assert len(handed.spans) > 10 and handed.spans == parsed.spans
+    assert handed.all_entries(t)[0] == parsed.all_entries(u)[0] == entries
+    assert handed.file_size == parsed.file_size == size == stack.fs.stat_size(path)
+    for key, _ in entries + [(b"absent-key-00000000", b"")]:
+        user = key[:-8]
+        assert handed.bloom.may_contain(user) == parsed.bloom.may_contain(user)
+    data = builder.built.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == WIDE_TABLE_SHA256
 
 
 def test_table_cache_rejects_bad_capacity():

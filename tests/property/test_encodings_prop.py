@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.block import Block
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.format import (
     MAX_SEQUENCE,
@@ -100,11 +100,10 @@ def test_wal_batch_roundtrip(entries, sequence):
 
 @given(st.dictionaries(keys, values, max_size=60))
 def test_block_roundtrip_sorted_entries(mapping):
-    builder = BlockBuilder()
     entries = sorted(mapping.items())
-    for key, value in entries:
-        builder.add(key, value)
-    block = Block.decode(builder.finish().encode())
+    block = Block.decode(
+        Block([k for k, _ in entries], [v for _, v in entries]).encode()
+    )
     assert block.entries() == entries
 
 
