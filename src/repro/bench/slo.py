@@ -1,7 +1,7 @@
-"""The flight recorder: continuous telemetry + SLO gate over serve/soak.
+"""The flight recorder: continuous telemetry + SLO gate over serve.
 
 This is the bench-side harness for :mod:`repro.obs.timeseries` and
-:mod:`repro.obs.slo`: run the serving pair (or the soak pair) with a
+:mod:`repro.obs.slo`: run the serving pair with a
 :class:`Telemetry` rig attached, sample every health signal the stack
 exposes at a fixed virtual interval, evaluate latency and availability
 SLOs with fast/slow burn-rate alerting, render an ASCII flight-recorder
@@ -24,10 +24,9 @@ apart is decoration, not observability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.ascii_plot import sparkline
-from repro.bench.soak import SoakConfig, run_soak
 from repro.lsm.pressure import PRESSURE_CODES
 from repro.obs.metrics import MetricRegistry
 from repro.obs.slo import (
@@ -46,16 +45,11 @@ from repro.sim.events import EventQueue
 
 SLO_SCHEMA = "repro.slo/1"
 
-#: workload names of the variant expected to breach / to hold
-_UNTUNED = ("serve", "soak")
-_TUNED = ("serve-fair", "soak-tuned")
-
 
 @dataclass
 class SloConfig:
-    """One flight-recorder run: scenario + sampling + objectives."""
+    """One flight-recorder run: the serve pair + sampling + objectives."""
 
-    scenario: str = "serve"  # "serve" | "soak"
     interval_ms: float = 5.0
     capacity: int = 4096
     #: latency objective: ``latency_target`` of requests complete within
@@ -68,10 +62,9 @@ class SloConfig:
     #: exactly this burst.
     latency_target: float = 0.9995
     latency_threshold_us: float = 100.0
-    #: availability objective (serve only): fraction of requests not shed
+    #: availability objective: fraction of requests not shed
     availability_target: float = 0.9995
     serve: ServeConfig = field(default_factory=ServeConfig)
-    soak: SoakConfig = field(default_factory=SoakConfig)
 
     @property
     def interval_ns(self) -> int:
@@ -83,8 +76,6 @@ class SloConfig:
 
     @property
     def horizon_ns(self) -> int:
-        if self.scenario == "soak":
-            return self.soak.horizon_ns
         return max(int(self.serve.duration_s * 1e9), 1)
 
 
@@ -92,10 +83,10 @@ class Telemetry:
     """One run's continuous-telemetry rig.
 
     Owns the sampling timeline (clock + event queue), the cluster-level
-    registry (for serve), the sampler, and the SLO monitors. The bench
-    loop drives :meth:`advance` to each arrival and :meth:`finish` at
-    the horizon; the serve/soak runners call :meth:`on_cluster` /
-    :meth:`on_stack` once their components exist so probes can bind.
+    registry, the sampler, and the SLO monitors. The bench loop drives
+    :meth:`advance` to each arrival and :meth:`finish` at the horizon;
+    the serve runner calls :meth:`on_cluster` once the shards exist so
+    probes can bind.
     """
 
     def __init__(self, config: SloConfig) -> None:
@@ -108,22 +99,14 @@ class Telemetry:
         self.monitors: List[SLOMonitor] = []
 
     # ------------------------------------------------------------------
-    # wiring, called by the runners
+    # wiring, called by the runner
     # ------------------------------------------------------------------
-
-    def _start(self, registry: MetricRegistry) -> None:
-        if self.sampler is not None:
-            raise RuntimeError("telemetry rig already wired to a run")
-        self.sampler = TimeSeriesSampler(
-            registry, self.config.interval_ns, capacity=self.config.capacity
-        )
-        self.sampler.attach(self.events)
 
     def _add_monitor(self, monitor: SLOMonitor) -> None:
         self.monitors.append(monitor)
         self.sampler.add_monitor(monitor)
 
-    def _add_store_probes(self, name: str, db, stack) -> None:
+    def _add_store_probes(self, name: str, db) -> None:
         """Health levels of one store: debt, pressure, tokens, garbage."""
         sampler = self.sampler
         pressure = db.pressure
@@ -154,9 +137,14 @@ class Telemetry:
             sampler.add_probe(f"{name}.vlog_garbage", garbage_ratio)
 
     def on_cluster(self, cluster) -> None:
-        """Wire the serve scenario: front-door SLOs + per-shard probes."""
-        self._start(self.registry)
+        """Wire the run: front-door SLOs + per-shard probes."""
+        if self.sampler is not None:
+            raise RuntimeError("telemetry rig already wired to a run")
         config = self.config
+        self.sampler = TimeSeriesSampler(
+            self.registry, config.interval_ns, capacity=config.capacity
+        )
+        self.sampler.attach(self.events)
         rules = default_burn_rules(config.horizon_ns)
         latency = self.registry.windowed_histogram(
             "serve.latency_ns", cluster.config.window_ns
@@ -189,29 +177,7 @@ class Telemetry:
                 f"{name}.queue_depth",
                 lambda at, a=shard.admission: float(a.peek_depth(at)),
             )
-            self._add_store_probes(name, shard.db, shard.stack)
-
-    def on_stack(self, stack, db) -> None:
-        """Wire the soak scenario: the stack's own registry + one store."""
-        self._start(stack.obs)
-        config = self.config
-        rules = default_burn_rules(config.horizon_ns)
-        latency = stack.obs.windowed_histogram(
-            "soak.put_ns", config.soak.window_ns
-        )
-        self._add_monitor(
-            SLOMonitor(
-                SLOSpec(
-                    "latency",
-                    LATENCY,
-                    config.latency_target,
-                    config.latency_threshold_ns,
-                ),
-                LatencyThresholdSource(latency, config.latency_threshold_ns),
-                rules,
-            )
-        )
-        self._add_store_probes("db", db, stack)
+            self._add_store_probes(name, shard.db)
 
     # ------------------------------------------------------------------
     # driven by the bench loop
@@ -232,7 +198,7 @@ class SloRunResult:
 
     row: Dict[str, object]
     telemetry: Telemetry
-    base: object  # the underlying ServeResult / SoakResult
+    base: object  # the underlying ServeResult
 
     @property
     def workload(self) -> str:
@@ -242,9 +208,7 @@ class SloRunResult:
         return dict(self.row)
 
 
-def _slo_row(
-    scenario: str, base, telemetry: Telemetry, config: SloConfig
-) -> Dict[str, object]:
+def _slo_row(base, telemetry: Telemetry, config: SloConfig) -> Dict[str, object]:
     """The gate row: base identity + alert/budget summary (flat metrics)."""
     monitors = telemetry.monitors
     alerts = [a for m in monitors for a in m.alerts]
@@ -255,7 +219,7 @@ def _slo_row(
         "workload": base.workload,
         "ops": base.num_ops,
         "value_size": base.value_size,
-        "scenario": scenario,
+        "scenario": "serve",
         "interval_ns": config.interval_ns,
         "horizon_ns": config.horizon_ns,
         "samples": telemetry.sampler.samples,
@@ -273,28 +237,14 @@ def _slo_row(
 
 
 def run_slo(config: SloConfig) -> List[SloRunResult]:
-    """Run the scenario pair (untuned, tuned) with telemetry attached."""
-    if config.scenario == "serve":
-        variants = [
-            replace(config.serve, fair=False),
-            replace(config.serve, fair=True),
-        ]
-        runner = run_serve
-    elif config.scenario == "soak":
-        variants = [
-            replace(config.soak, tuned=False),
-            replace(config.soak, tuned=True),
-        ]
-        runner = run_soak
-    else:
-        raise ValueError(f"unknown scenario {config.scenario!r}")
+    """Run the serve pair (untuned, fair) with telemetry attached."""
     results = []
-    for variant in variants:
+    for fair in (False, True):
         telemetry = Telemetry(config)
-        base = runner(variant, telemetry=telemetry)
+        base = run_serve(replace(config.serve, fair=fair), telemetry=telemetry)
         results.append(
             SloRunResult(
-                row=_slo_row(config.scenario, base, telemetry, config),
+                row=_slo_row(base, telemetry, config),
                 telemetry=telemetry,
                 base=base,
             )
@@ -316,12 +266,12 @@ def check_discrimination(rows: Sequence[Dict[str, object]]) -> List[str]:
     """
     problems = []
     for row in rows:
-        if row["workload"] in _UNTUNED and row["fast_burn_alerts"] < 1:
+        if row["workload"] == "serve" and row["fast_burn_alerts"] < 1:
             problems.append(
                 f"{row['workload']}: expected >= 1 fast-burn alert, got 0 "
                 "(the untuned run should breach its SLOs)"
             )
-        if row["workload"] in _TUNED and row["alerts_total"] > 0:
+        if row["workload"] == "serve-fair" and row["alerts_total"] > 0:
             problems.append(
                 f"{row['workload']}: expected 0 alerts, got "
                 f"{row['alerts_total']} (the tuned run should hold its SLOs)"
@@ -457,7 +407,7 @@ def render_slo(results: Sequence[SloRunResult], width: int = 60) -> str:
                                 [f"  {p}" for p in problems]))
     else:
         fired = sum(r.row["alerts_total"] for r in results
-                    if r.workload in _UNTUNED)
+                    if r.workload == "serve")
         blocks.append(
             "alert discrimination: PASS — untuned fired "
             f"{fired} alert(s), tuned fired none"

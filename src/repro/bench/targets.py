@@ -63,7 +63,6 @@ from repro.bench.slo import (
     render_slo,
     run_slo,
 )
-from repro.bench.soak import SOAK_SCHEMA, SoakConfig, render_soak, run_soak_pair
 from repro.crashtest import (
     CrashMatrixConfig,
     matrix_payload,
@@ -76,9 +75,11 @@ from repro.obs.timeseries import TIMESERIES_SCHEMA
 from repro.obs.trace import write_chrome_trace
 from repro.serve.bench import (
     SERVE_SCHEMA,
+    SOAK,
     ServeConfig,
     render_serve,
     run_serve_pair,
+    soak_config,
 )
 from repro.sim.latency import GIB
 
@@ -150,9 +151,6 @@ FLAGS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "value_threshold": _flag("--value-threshold",
                              "kv separation threshold in bytes, applied to "
                              "*-kv stores only", type=int),
-    "scenario": _flag("--scenario",
-                      "which benchmark pair to fly the recorder on",
-                      choices=["serve", "soak"]),
     "interval_ms": _flag("--interval-ms", "virtual sampling interval in ms",
                          type=float),
     "latency_slo_us": _flag("--latency-slo-us",
@@ -590,6 +588,9 @@ def _check_parallelism(out_dir: str) -> List[str]:
     return []
 
 
+#: schema of the soak pair's document
+SOAK_SCHEMA = "repro.soak/1"
+
 #: the ``repro.soak/1`` stability gate (all lower-is-better, all
 #: deterministic virtual-time numbers). ``windowed_p999_us`` is the
 #: worst windowed p99.9 — the spike a user actually hits;
@@ -607,7 +608,7 @@ SOAK_METRICS: Tuple[MetricSpec, ...] = (
 
 
 def _soak(args: argparse.Namespace) -> int:
-    config = SoakConfig(
+    config = soak_config(
         store=args.store,
         scale=args.scale,
         seed=args.seed,
@@ -617,8 +618,10 @@ def _soak(args: argparse.Namespace) -> int:
         num_channels=args.channels,
         background_threads=args.threads,
     )
-    results = run_soak_pair(config)
-    rendered = render_soak(results)
+    results = run_serve_pair(config)
+    for result, name in zip(results, ("soak", "soak-tuned")):
+        result.workload = name
+    rendered = render_serve(results)
     print(rendered)
     meta = {
         "target": "soak",
@@ -783,42 +786,29 @@ SLO_METRICS: Tuple[MetricSpec, ...] = (
 
 
 def _slo(args: argparse.Namespace) -> int:
-    shape = dict(
-        store=args.store,
-        scale=args.scale,
-        seed=args.seed,
-        window_ms=args.window_ms,
-    )
-    # an unset --rate / --duration keeps the scenario's own default
-    load = {
-        name: value
-        for name, value in (
-            ("arrival_rate", args.rate),
-            ("duration_s", args.duration),
-        )
-        if value is not None
-    }
     config = SloConfig(
-        scenario=args.scenario,
         interval_ms=args.interval_ms,
         latency_threshold_us=args.latency_slo_us,
         serve=ServeConfig(
+            store=args.store,
+            scale=args.scale,
+            seed=args.seed,
+            arrival_rate=args.rate,
+            duration_s=args.duration,
+            window_ms=args.window_ms,
             num_shards=args.shards,
             num_tenants=args.tenants,
             diurnal_amplitude=args.amplitude,
             spread=args.spread,
             max_queue=args.max_queue,
-            **shape,
-            **load,
         ),
-        soak=SoakConfig(**shape, **load),
     )
     results = run_slo(config)
     rendered = render_slo(results)
     print(rendered)
     meta = {
         "target": "slo",
-        "scenario": args.scenario,
+        "scenario": "serve",
         "store": args.store,
         "scale": args.scale,
         "seed": args.seed,
@@ -897,9 +887,7 @@ def _check_crash_matrix(out_dir: str) -> List[str]:
     return problems
 
 
-_SOAK, _SERVE, _SLO, _CRASH = (
-    SoakConfig(), ServeConfig(), SloConfig(), CrashMatrixConfig()
-)
+_SERVE, _SLO, _CRASH = ServeConfig(), SloConfig(), CrashMatrixConfig()
 
 TARGETS: Dict[str, BenchTarget] = {
     target.name: target
@@ -938,15 +926,15 @@ TARGETS: Dict[str, BenchTarget] = {
         ),
         BenchTarget(
             "soak",
-            "open-loop stability pair: stock vs rate limiter + dynamic "
-            "slowdown",
+            "open-loop stability pair on one store (a one-shard, one-tenant "
+            "serve run): stock vs rate limiter + dynamic slowdown",
             _soak,
             flags=dict(
-                store=_SOAK.store, scale=_SOAK.scale, seed=_SOAK.seed,
-                channels=_SOAK.num_channels,
-                threads=_SOAK.background_threads,
-                rate=_SOAK.arrival_rate, duration=_SOAK.duration_s,
-                window_ms=_SOAK.window_ms,
+                store=SOAK.store, scale=SOAK.scale, seed=SOAK.seed,
+                channels=SOAK.num_channels,
+                threads=SOAK.background_threads,
+                rate=SOAK.arrival_rate, duration=SOAK.duration_s,
+                window_ms=SOAK.window_ms,
             ),
             schema=SOAK_SCHEMA,
             metrics=SOAK_METRICS,
@@ -994,15 +982,15 @@ TARGETS: Dict[str, BenchTarget] = {
         ),
         BenchTarget(
             "slo",
-            "flight recorder: the serve (or soak) pair with telemetry and "
-            "SLO burn-rate alerts; unset --rate / --duration keep the "
-            "scenario's defaults",
+            "flight recorder: the serve pair with telemetry and SLO "
+            "burn-rate alerts",
             _slo,
             flags=dict(
                 store=_SERVE.store, scale=_SERVE.scale, seed=_SERVE.seed,
-                scenario=_SLO.scenario, interval_ms=_SLO.interval_ms,
-                latency_slo_us=_SLO.latency_threshold_us, rate=None,
-                duration=None, window_ms=_SERVE.window_ms,
+                interval_ms=_SLO.interval_ms,
+                latency_slo_us=_SLO.latency_threshold_us,
+                rate=_SERVE.arrival_rate, duration=_SERVE.duration_s,
+                window_ms=_SERVE.window_ms,
                 shards=_SERVE.num_shards, tenants=_SERVE.num_tenants,
                 max_queue=_SERVE.max_queue, spread=_SERVE.spread,
                 amplitude=_SERVE.diurnal_amplitude,

@@ -130,8 +130,8 @@ class LazyExecutor:
 
         Distinct from ``stall_ns`` (queueing behind busy threads): this
         is time the *scheduler chose* to defer work to shape compaction
-        bandwidth; the executor keeps both so the soak report can tell
-        "not enough threads" apart from "bandwidth budget".
+        bandwidth; the executor keeps both so a report can tell "not
+        enough threads" apart from "bandwidth budget".
         """
         self.throttle_ns += int(ns)
         if self._observe:

@@ -150,7 +150,7 @@ class DBStats:
     distinguishes the two.
     Consumers that want "time the writer was not making progress" must
     use the unified :attr:`blocked_ns` total (= stall + slowdown); the
-    soak harness and the compare gate do.
+    serve bench (and so the soak gate) and the compare gate do.
 
     ``l0_stop_abandoned`` counts the times a writer blocked on the L0
     stop trigger was released with L0 *still* at/above the trigger

@@ -28,7 +28,6 @@ from repro.obs.critical_path import (
     analyze_write_path,
     render_critical_path,
 )
-from repro.obs.events import IOEvent, IOLog
 from repro.obs.export import (
     SCHEMA,
     layer_breakdown,
@@ -59,8 +58,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
-    "IOEvent",
-    "IOLog",
     "MetricRegistry",
     "NULL_REGISTRY",
     "NULL_SPAN",

@@ -76,7 +76,7 @@ def registry_document(
 ) -> Dict[str, object]:
     """The full versioned export document for one registry."""
     snapshot = registry.snapshot()
-    doc: Dict[str, object] = {
+    return {
         "schema": SCHEMA,
         "meta": dict(meta) if meta else {},
         "counters": snapshot.get("counters", {}),
@@ -91,13 +91,6 @@ def registry_document(
             "roots": [s.to_dict() for s in registry.spans[:max_spans]],
         },
     }
-    if registry.io_log is not None:
-        doc["io"] = {
-            "events": len(registry.io_log.events),
-            "dropped": registry.io_log.dropped,
-            "totals": registry.io_log.totals(),
-        }
-    return doc
 
 
 def to_json(

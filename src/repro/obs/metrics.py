@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import IOLog
 from repro.obs.spans import NULL_SPAN, Span
 
 
@@ -360,7 +359,6 @@ class MetricRegistry:
     - :meth:`register_source` plugs in a component's own ``snapshot()``
       (e.g. :class:`~repro.sim.stats.DeviceStats`), so legacy stats
       appear in the unified snapshot without per-op double counting.
-    - :meth:`trace_io` attaches a bounded :class:`IOLog` to a device.
     """
 
     enabled = True
@@ -375,8 +373,6 @@ class MetricRegistry:
         self.spans: List[Span] = []
         self.spans_dropped = 0
         self._span_listeners: List[SpanListener] = []
-        self.io_log: Optional[IOLog] = None
-        self._io_device = None
         #: the attached :class:`~repro.obs.trace.Tracer`, if any
         self.tracer = None
 
@@ -479,36 +475,12 @@ class MetricRegistry:
         return [s for s in self.spans if s.name == name]
 
     # ------------------------------------------------------------------
-    # device tracing
-    # ------------------------------------------------------------------
-
-    def trace_io(self, device, capacity: int = 1_000_000) -> IOLog:
-        """Record every operation of ``device`` into a bounded IOLog."""
-        if self.io_log is not None:
-            raise RuntimeError("registry already traces a device")
-        log = IOLog(capacity)
-
-        def listener(kind, nbytes, at, done, sequential):
-            log.record(kind, nbytes, at, done, sequential)
-
-        device.add_io_listener(listener)
-        self.io_log = log
-        self._io_device = (device, listener)
-        return log
-
-    def stop_io_trace(self) -> None:
-        if self._io_device is not None:
-            device, listener = self._io_device
-            device.remove_io_listener(listener)
-            self._io_device = None
-
-    # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """One nested dict of everything recorded so far."""
-        doc: Dict[str, object] = {
+        return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
@@ -523,13 +495,6 @@ class MetricRegistry:
                 "dropped": self.spans_dropped,
             },
         }
-        if self.io_log is not None:
-            doc["io"] = {
-                "events": len(self.io_log.events),
-                "dropped": self.io_log.dropped,
-                "totals": self.io_log.totals(),
-            }
-        return doc
 
     def reset(self) -> None:
         """Zero every instrument and forget collected spans.
@@ -547,8 +512,6 @@ class MetricRegistry:
             cell.reset()
         self.spans.clear()
         self.spans_dropped = 0
-        if self.io_log is not None:
-            self.io_log.reset()
         if self.tracer is not None:
             self.tracer.reset()
 

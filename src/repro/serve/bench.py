@@ -13,16 +13,25 @@ cluster idles along. Reported per tenant *and* per shard:
   every tenant gets the same tail, the number a multi-tenant SLA is
   written against);
 - admission-control counts (admitted / queued / shed, shed by pressure
-  cause) and each shard's stall breakdown (``blocked_ns`` and the PR 7
-  cause counters).
+  cause) and each shard's stall breakdown (``blocked_ns`` and the
+  per-cause counters);
+- the stability view of Luo & Carey ("On Performance Stability in
+  LSM-based Storage Systems"): worst and median windowed p99.9 and
+  their ratio, the longest single write stall, and every
+  ``lsm.write_stall`` charged by cause to the window where it began,
+  summed over shards, so each tail window shows the stall under it.
 
 Documents use the versioned ``repro.serve/1`` schema and are gated by
-:mod:`repro.bench.compare` like the soak and throughput baselines. The
+:mod:`repro.bench.compare` like the throughput baselines. The
 ``serve-fair`` variant (``ServeConfig.fair``) sizes each shard's
 stability tuning (:mod:`repro.lsm.pressure`: the compaction rate
 limiter in fair mode plus dynamic slowdown) to the hot shard's ingest,
 and the serve gate asserts it beats the untuned cluster on worst-tenant
 p99.9.
+
+:func:`soak_config` is the same harness at its smallest: one store, one
+tenant, constant-rate puts and no admission control — the ``soak``
+gate's stability pair, recorded as ``repro.soak/1``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
+from repro.lsm.pressure import STALL_CAUSES
 from repro.obs.metrics import WindowedHistogram
 from repro.serve.cluster import ClusterConfig, ServeCluster
 from repro.serve.loadgen import (
@@ -87,12 +97,13 @@ class ServeConfig:
     def hot_shard_ingest(self) -> int:
         """User-data bytes/s at the hot shard, which every shard's
         stability tuning is sized for: with tenant-affine placement and
-        zipf 0.99 over a handful of tenants, about half the writes."""
+        zipf 0.99 over a handful of tenants, about half the writes; all
+        of them on a single shard."""
         return int(
             self.arrival_rate
             * self.write_fraction
             * (self.key_size + self.value_size)
-            * 0.5  # hot shard's share of the total
+            * max(0.5, 1 / self.num_shards)  # hot shard's share
         )
 
     @property
@@ -134,6 +145,27 @@ class ServeConfig:
                 self.hot_shard_ingest if self.fair else 0
             ),
         )
+
+
+#: the soak experiment as a serve preset: one store, one tenant,
+#: constant-rate puts, admission off, so every stall reaches latency
+SOAK = ServeConfig(
+    num_shards=1,
+    num_tenants=1,
+    arrival_rate=40_000.0,
+    duration_s=0.75,
+    diurnal_amplitude=0.0,
+    write_fraction=1.0,
+    max_queue=0,
+)
+
+
+def soak_config(**changes) -> ServeConfig:
+    """:data:`SOAK` with ``changes``; the keyspace is one key per
+    expected op, so the tree keeps growing into the bursty-compaction
+    regime instead of overwriting a small working set."""
+    config = replace(SOAK, **changes)
+    return replace(config, keys_per_tenant=config.expected_ops)
 
 
 @dataclass
@@ -214,8 +246,17 @@ class ServeResult:
     worst_tenant_p999_us: float = 0.0
     overall_p999_us: float = 0.0
     windowed_p999_us: float = 0.0  # worst windowed cluster p99.9
+    median_p999_us: float = 0.0  # median windowed cluster p99.9
+    p999_ratio: float = 0.0  # worst / median windowed p99.9
     blocked_ns: int = 0  # summed over shards
-    #: per-window (ops, p99.9, shed) for the ascii timeline
+    max_stall_ns: int = 0  # longest single write stall on any shard
+    #: write-stall ns by cause, summed over shards
+    stall_cause_ns: Dict[str, int] = field(default_factory=dict)
+    # the compaction rate limiters' counts, summed over shards
+    throttled_jobs: int = 0
+    held_jobs: int = 0
+    bypassed_jobs: int = 0
+    #: per-window (ops, p99.9, shed, stalls by cause) for the timeline
     windows: List[Dict[str, object]] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -241,6 +282,13 @@ class ServeResult:
                 "virtual_ns": self.virtual_ns,
                 "overall_p999_us": round(self.overall_p999_us, 3),
                 "windowed_p999_us": round(self.windowed_p999_us, 3),
+                "median_p999_us": round(self.median_p999_us, 3),
+                "p999_ratio": round(self.p999_ratio, 4),
+                "max_stall_ns": self.max_stall_ns,
+                "stall_cause_ns": dict(self.stall_cause_ns),
+                "throttled_jobs": self.throttled_jobs,
+                "held_jobs": self.held_jobs,
+                "bypassed_jobs": self.bypassed_jobs,
                 "arrival_rate": self.arrival_rate,
                 "duration_s": self.duration_s,
                 "window_ns": self.window_ns,
@@ -287,6 +335,27 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
     )
     if telemetry is not None:
         telemetry.on_cluster(cluster)
+
+    # charge every write stall to the window where it began; listening
+    # here rather than in ServeCluster keeps ServeCluster.serve as cheap
+    # for callers that do not report windows
+    window_ns = config.window_ns
+    stall_by_window: Dict[int, Dict[str, int]] = {}
+    max_stall_by_window: Dict[int, int] = {}
+
+    def on_span(span) -> None:
+        if span.name != "lsm.write_stall":
+            return
+        cause = str(span.attrs.get("cause", "unknown"))
+        duration = span.duration_ns
+        index = span.start_ns // window_ns
+        causes = stall_by_window.setdefault(index, {})
+        causes[cause] = causes.get(cause, 0) + duration
+        if duration > max_stall_by_window.get(index, 0):
+            max_stall_by_window[index] = duration
+
+    for shard in cluster.shards:
+        shard.stack.obs.add_span_listener(on_span)
     offered = 0
     last_done = 0
     wall_start = time.perf_counter()
@@ -312,6 +381,8 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
     if telemetry is not None:
         telemetry.finish(max(int(config.duration_s * 1e9), last_done))
     wall_seconds = time.perf_counter() - wall_start
+    for shard in cluster.shards:
+        shard.stack.obs.remove_span_listener(on_span)
 
     result = ServeResult(
         store=config.store,
@@ -361,6 +432,17 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
             )
         )
         result.blocked_ns += shard.db.stats.blocked_ns
+        limiter = shard.db.pressure.limiter
+        if limiter is not None:
+            result.throttled_jobs += limiter.throttled_jobs
+            result.held_jobs += limiter.held_jobs
+            result.bypassed_jobs += limiter.bypassed_jobs
+    for causes in stall_by_window.values():
+        for cause, ns in causes.items():
+            result.stall_cause_ns[cause] = (
+                result.stall_cause_ns.get(cause, 0) + ns
+            )
+    result.max_stall_ns = max(max_stall_by_window.values(), default=0)
     served_tenants = [t for t in result.tenants if t.served > 0]
     if served_tenants:
         p99s = [t.p99_us for t in served_tenants]
@@ -374,6 +456,11 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
         cluster.latency.total.percentile(99.9)
     )
     result.windowed_p999_us = to_micros(cluster.latency.max_over_windows(99.9))
+    result.median_p999_us = to_micros(
+        cluster.latency.median_over_windows(99.9)
+    )
+    if result.median_p999_us > 0:
+        result.p999_ratio = result.windowed_p999_us / result.median_p999_us
     for index in cluster.latency.window_indices():
         hist = cluster.latency.windows[index]
         result.windows.append(
@@ -383,6 +470,8 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
                 "p50_us": round(to_micros(hist.p50), 3),
                 "p999_us": round(to_micros(hist.percentile(99.9)), 3),
                 "shed": cluster.shed_by_window.get(index, 0),
+                "stall_ns": stall_by_window.get(index, {}),
+                "max_stall_ns": max_stall_by_window.get(index, 0),
             }
         )
     return result
@@ -396,8 +485,18 @@ def run_serve_pair(config: ServeConfig) -> List[ServeResult]:
     ]
 
 
+def _cause_summary(stall_ns: Dict[str, int]) -> str:
+    parts = []
+    for cause in STALL_CAUSES:
+        ns = stall_ns.get(cause, 0)
+        if ns:
+            parts.append(f"{cause.split('_')[-1][:4]}:{ns / 1e6:.1f}ms")
+    return " ".join(parts)
+
+
 def render_timeline(result: ServeResult, width: int = 40) -> str:
-    """Ascii timeline: per-window cluster p99.9 bar + shed counts."""
+    """Ascii timeline: per-window cluster p99.9 bar, shed counts and the
+    write stalls that began in the window, by cause."""
     title = (
         f"{result.store}/{result.workload}: {result.num_ops} requests "
         f"({result.served} served, {result.shed} shed) @ "
@@ -408,16 +507,23 @@ def render_timeline(result: ServeResult, width: int = 40) -> str:
     lines = [title, "-" * min(len(title), 78)]
     peak = max((w["p999_us"] for w in result.windows), default=0.0)
     lines.append(
-        f"{'win':>4} {'ops':>6} {'shed':>5} {'p50us':>8} {'p999us':>9}  p99.9"
+        f"{'win':>4} {'ops':>6} {'shed':>5} {'p50us':>8} {'p999us':>9} "
+        f"{'stall':>9}  p99.9"
     )
     for w in result.windows:
         bar = "#" * (
             max(int(w["p999_us"] / peak * width), 1) if peak > 0 else 0
         )
-        lines.append(
+        stall = sum(w["stall_ns"].values())
+        stall_col = f"{stall / 1e6:>7.1f}ms" if stall else f"{'-':>9}"
+        line = (
             f"{w['index']:>4} {w['ops']:>6} {w['shed']:>5} "
-            f"{w['p50_us']:>8.1f} {w['p999_us']:>9.1f}  {bar}"
+            f"{w['p50_us']:>8.1f} {w['p999_us']:>9.1f} {stall_col}  {bar}"
         )
+        causes = _cause_summary(w["stall_ns"])
+        if causes:
+            line += f"  [{causes}]"
+        lines.append(line)
     lines.append("")
     lines.append(
         f"{'tenant':<10} {'served':>7} {'shed':>5} {'queued':>6} "
@@ -448,21 +554,36 @@ def render_timeline(result: ServeResult, width: int = 40) -> str:
         f"worst tenant p99.9 {result.worst_tenant_p999_us:,.1f} us; "
         f"cluster blocked {result.blocked_ns / 1e6:.2f} ms"
     )
+    lines.append(
+        f"windowed p99.9: worst {result.windowed_p999_us:,.1f} us, "
+        f"median {result.median_p999_us:,.1f} us, "
+        f"ratio {result.p999_ratio:.2f}x; "
+        f"max stall {result.max_stall_ns / 1e6:.2f} ms"
+    )
+    if result.throttled_jobs or result.held_jobs or result.bypassed_jobs:
+        lines.append(
+            f"rate limiter: {result.throttled_jobs} throttled, "
+            f"{result.held_jobs} hold-backs, "
+            f"{result.bypassed_jobs} urgent bypasses"
+        )
     return "\n".join(lines)
 
 
 def render_serve(results: Sequence[ServeResult], width: int = 40) -> str:
-    """Timelines for every run plus an untuned-vs-fair verdict."""
+    """Timelines for every run plus, for an untuned/fair pair, the
+    verdict."""
     blocks = [render_timeline(r, width=width) for r in results]
-    by_variant = {r.workload: r for r in results}
-    if "serve" in by_variant and "serve-fair" in by_variant:
-        base, fair = by_variant["serve"], by_variant["serve-fair"]
+    if len(results) == 2:
+        base, fair = results
         blocks.append(
-            "multi-tenant stability: fair vs untuned — "
+            "stability: fair vs untuned — "
             f"worst tenant p99.9 {base.worst_tenant_p999_us:,.1f} -> "
             f"{fair.worst_tenant_p999_us:,.1f} us, "
             f"fairness {base.fairness_ratio:.2f}x -> "
             f"{fair.fairness_ratio:.2f}x, "
-            f"shed {base.shed} -> {fair.shed}"
+            f"shed {base.shed} -> {fair.shed}, "
+            f"p99.9 ratio {base.p999_ratio:.2f}x -> {fair.p999_ratio:.2f}x, "
+            f"max stall {base.max_stall_ns / 1e6:.2f} -> "
+            f"{fair.max_stall_ns / 1e6:.2f} ms"
         )
     return "\n\n".join(blocks)

@@ -1,8 +1,8 @@
 """Virtual-time load generation: who asks for what, when.
 
-Generalizes the soak harness's arrival machinery
-(:mod:`repro.bench.soak`) from "one store, one tenant, constant-rate
-puts" to a multi-tenant request stream:
+One request stream covers everything from "one store, one tenant,
+constant-rate puts" (the soak gate's preset,
+:func:`repro.serve.bench.soak_config`) to a multi-tenant cluster:
 
 - **Open loop**: Poisson arrivals whose instantaneous rate follows a
   diurnal curve — ``rate(t) = base * (1 + amplitude * sin(...))`` with

@@ -16,7 +16,6 @@ from repro.sim.events import EventQueue
 from repro.sim.latency import CpuProfile, DeviceProfile, PM883, SLOW_HDD_LIKE
 from repro.sim.ssd import SSD
 from repro.sim.stats import DeviceStats, SyncStats
-from repro.sim.trace import IOEvent, IOTrace
 
 __all__ = [
     "VirtualClock",
@@ -28,6 +27,4 @@ __all__ = [
     "SSD",
     "DeviceStats",
     "SyncStats",
-    "IOEvent",
-    "IOTrace",
 ]

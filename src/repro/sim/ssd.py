@@ -29,23 +29,19 @@ measured submission→completion so queueing is included) and a
 ``device.queue_ns`` counter of time spent waiting behind earlier I/O.
 Multi-channel devices additionally expose per-channel queue histograms
 (``device.ch<i>.queue_ns``); per-channel busy time appears as
-``channel_busy_ns`` in the device stats snapshot. Independent of the registry, *listeners* may
-subscribe to every operation (``add_io_listener``); this is the
-mechanism behind :class:`~repro.sim.trace.IOTrace` and
-``MetricRegistry.trace_io``, replacing the old method monkey-patching.
+``channel_busy_ns`` in the device stats snapshot. A
+:class:`~repro.obs.trace.Tracer` on the registry records every operation
+as a slice on its channel's track.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricRegistry, NULL_REGISTRY
 from repro.sim.clock import VirtualClock
 from repro.sim.latency import DeviceProfile, PM883
 from repro.sim.stats import DeviceStats
-
-#: (kind, nbytes, submitted_at, completed_at, sequential)
-IOListener = Callable[[str, int, int, int, bool], None]
 
 #: a stream-affinity key — any hashable value (inode number, "jbd2", ...)
 StreamKey = object
@@ -76,7 +72,6 @@ class SSD:
         if profile.num_channels > 1:
             self.stats.channel_busy_ns = [0] * profile.num_channels
         self._streams: Dict[StreamKey, int] = {}
-        self._listeners: List[IOListener] = []
         self._observe = self.obs.enabled
         if self._observe:
             self.obs.register_source("device", self.stats.snapshot)
@@ -106,23 +101,6 @@ class SSD:
     def idle_at(self, at: int) -> bool:
         """True if the device has no queued work at time ``at``."""
         return all(busy <= at for busy in self._channels)
-
-    # ------------------------------------------------------------------
-    # I/O listeners (tracing)
-    # ------------------------------------------------------------------
-
-    def add_io_listener(self, listener: IOListener) -> None:
-        """Subscribe to every device operation (used by I/O tracing)."""
-        self._listeners.append(listener)
-
-    def remove_io_listener(self, listener: IOListener) -> None:
-        self._listeners.remove(listener)
-
-    def _notify(
-        self, kind: str, nbytes: int, at: int, done: int, sequential: bool
-    ) -> None:
-        for listener in self._listeners:
-            listener(kind, nbytes, int(at), done, sequential)
 
     # ------------------------------------------------------------------
     # channel arbitration
@@ -190,8 +168,6 @@ class SSD:
                     tracer.io_slice(
                         "write", channel, done - duration, done, nbytes, stream
                     )
-        if self._listeners:
-            self._notify("write", nbytes, at, done, sequential)
         return done
 
     def read(
@@ -224,8 +200,6 @@ class SSD:
                     tracer.io_slice(
                         "read", channel, done - duration, done, nbytes, stream
                     )
-        if self._listeners:
-            self._notify("read", nbytes, at, done, sequential)
         return done
 
     def flush(self, at: int) -> int:
@@ -255,8 +229,6 @@ class SSD:
             tracer = self.obs.tracer
             if tracer is not None:
                 tracer.io_slice("flush", -1, start, completion, 0, None)
-        if self._listeners:
-            self._notify("flush", 0, at, completion, True)
         return completion
 
     def reset(self) -> None:

@@ -26,8 +26,8 @@ from repro.bench.slo import (
     run_slo,
 )
 from repro.bench.targets import METRICS_BY_SCHEMA, SLO_METRICS
-from repro.bench.soak import SoakConfig
-from repro.serve.bench import ServeConfig, run_serve
+from repro.serve.bench import ServeConfig, run_serve, soak_config
+from repro.serve.cluster import ServeCluster
 
 #: the serve-bench SMALL shape: hot enough that the untuned hot shard
 #: sheds, small enough for a unit-test budget (~3 s for the pair)
@@ -51,7 +51,7 @@ def slo_document(results, meta=None):
 
 
 def small_config():
-    return SloConfig(scenario="serve", interval_ms=2.0, serve=SMALL_SERVE)
+    return SloConfig(interval_ms=2.0, serve=SMALL_SERVE)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,6 @@ def test_slo_document_shape_and_round_trip(pair):
 def test_documents_are_deterministic():
     """Same config + seed -> byte-identical slo and timeseries exports."""
     tiny = SloConfig(
-        scenario="serve",
         interval_ms=2.0,
         serve=ServeConfig(
             num_shards=2, num_tenants=3, arrival_rate=60_000.0,
@@ -220,41 +219,30 @@ def test_report_payload_is_machine_readable(pair):
 
 
 def test_soak_scenario_wires_store_probes():
-    config = SloConfig(
-        scenario="soak",
-        interval_ms=2.0,
-        soak=SoakConfig(arrival_rate=40_000.0, duration_s=0.05,
-                        window_ms=10.0),
-    )
-    results = run_slo(config)
-    assert [r.workload for r in results] == ["soak", "soak-tuned"]
+    """The recorder flies over the one-store soak preset too: the
+    store's health probes bind, and the soak outcome does not move."""
+    soak = soak_config(duration_s=0.05, window_ms=10.0)
+    results = run_slo(SloConfig(interval_ms=2.0, serve=soak))
+    assert [r.workload for r in results] == ["serve", "serve-fair"]
     base, tuned = results
     series = base.telemetry.sampler.series
-    assert "soak.put_ns.ops" in series
-    assert "db.pressure" in series
-    assert "db.debt_bytes" in series
+    assert "serve.latency_ns.ops" in series
+    assert "shard0.pressure" in series
+    assert "shard0.debt_bytes" in series
     assert "slo.latency.burn" in series
     # the tuned twin runs with a rate limiter -> its token level appears
-    assert "db.ratelimit_tokens" in tuned.telemetry.sampler.series
+    assert "shard0.ratelimit_tokens" in tuned.telemetry.sampler.series
     # attaching telemetry must not change the soak outcome either
-    from repro.bench.soak import run_soak
-
-    plain = run_soak(
-        SoakConfig(arrival_rate=40_000.0, duration_s=0.05, window_ms=10.0)
-    )
+    plain = run_serve(soak)
     a, b = plain.to_dict(), base.base.to_dict()
     a.pop("host", None), b.pop("host", None)
     assert a == b
 
 
-def test_run_slo_rejects_unknown_scenario():
-    with pytest.raises(ValueError):
-        run_slo(SloConfig(scenario="parade"))
-
-
 def test_telemetry_rig_wires_once():
-    rig = Telemetry(small_config())
-    registry = rig.registry
-    rig._start(registry)
+    config = small_config()
+    rig = Telemetry(config)
+    cluster = ServeCluster(config.serve.cluster_config(), obs=rig.registry)
+    rig.on_cluster(cluster)
     with pytest.raises(RuntimeError):
-        rig._start(registry)
+        rig.on_cluster(cluster)

@@ -106,6 +106,27 @@ def test_accounting_adds_up(pair):
             assert 0 < sum(w["shed"] for w in result.windows) <= result.shed
 
 
+def test_stalls_are_attributed_to_windows(pair):
+    """Every write stall on every shard is charged, by cause, to the
+    window where it began; the cause totals tile ``blocked_ns``."""
+    base, _ = pair
+    assert base.blocked_ns > 0, "the untuned pair must stall"
+    for result in pair:
+        assert result.windowed_p999_us >= result.median_p999_us > 0
+        assert result.p999_ratio >= 1.0
+        assert sum(result.stall_cause_ns.values()) == result.blocked_ns
+        per_window = sum(sum(w["stall_ns"].values()) for w in result.windows)
+        assert per_window <= result.blocked_ns
+        assert max(w["max_stall_ns"] for w in result.windows) <= (
+            result.max_stall_ns
+        )
+        for shard in result.shards:
+            stalls = shard.stalls
+            assert stalls["blocked_ns"] == (
+                stalls["stall_ns"] + stalls["slowdown_ns"]
+            )
+
+
 def serve_document(results, meta=None):
     return results_document(results, meta, SERVE_SCHEMA)
 
@@ -193,8 +214,11 @@ def test_renderers_tell_the_story(pair):
     for tenant in SMALL.load_config().tenant_ids():
         assert tenant in timeline
     text = render_serve(pair)
-    assert "multi-tenant stability: fair vs untuned" in text
+    assert "stability: fair vs untuned" in text
     assert f"shed {base.shed} -> {fair.shed}" in text
+    assert f"p99.9 ratio {base.p999_ratio:.2f}x -> {fair.p999_ratio:.2f}x" in text
+    # the worst window names the stall cause under it
+    assert "stall" in timeline and "[slow:" in timeline
 
 
 def test_closed_loop_mode_runs():
