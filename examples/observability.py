@@ -22,6 +22,17 @@ def main() -> None:
     obs = MetricRegistry()
     stack = StorageStack(StackConfig(obs=obs))
 
+    # The registry keeps no spans: it streams each one to its listeners
+    # as it ends. Keep the journal commits and compactions by name.
+    kept = {"journal.commit": [], "db.compaction.minor": [],
+            "db.compaction.major": []}
+
+    def keep(span) -> None:
+        if span.name in kept:
+            kept[span.name].append(span)
+
+    obs.add_span_listener(keep)
+
     options = Options().scaled(2000)  # tiny tables -> lots of compactions
     db = NobLSM(stack, options=options)
 
@@ -43,15 +54,15 @@ def main() -> None:
               f"p95={hist.p95 / 1000:8.2f} us  p99={hist.p99 / 1000:8.2f} us")
 
     # --- spans: journal commits and compactions, with attributes ------
-    commits = obs.spans_named("journal.commit")
+    commits = kept["journal.commit"]
     print(f"\n  journal commits: {len(commits)}")
     for span in commits[:3]:
         print(f"    tid={span.attrs['tid']} inodes={span.attrs['inodes']} "
               f"bytes={span.attrs['journal_bytes']} "
               f"took {span.duration_ns} ns")
 
-    minors = obs.spans_named("db.compaction.minor")
-    majors = obs.spans_named("db.compaction.major")
+    minors = kept["db.compaction.minor"]
+    majors = kept["db.compaction.major"]
     print(f"  compactions: {len(minors)} minor, {len(majors)} major")
     if majors:
         span = majors[0]

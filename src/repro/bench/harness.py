@@ -21,7 +21,7 @@ from repro.fs.stack import StackConfig, StorageStack
 from repro.lsm.db import DB
 from repro.lsm.options import MIB, Options
 from repro.obs.critical_path import analyze_write_path
-from repro.obs.export import layer_breakdown, registry_document
+from repro.obs.export import layer_breakdown
 from repro.obs.metrics import MetricRegistry
 from repro.obs.trace import Tracer
 from repro.sim.clock import seconds, to_micros, to_seconds
@@ -148,8 +148,6 @@ class BenchResult:
     #: virtual time attributed per layer (device/journal/compaction/
     #: stalls); empty unless observed.
     breakdown_ns: Dict[str, int] = field(default_factory=dict)
-    #: full ``repro.obs/1`` export document; ``None`` unless observed.
-    obs_document: "Optional[Dict[str, object]]" = None
     #: critical-path attribution (CriticalPathReport.to_dict());
     #: ``None`` unless the run was traced.
     critical_path: "Optional[Dict[str, object]]" = None
@@ -260,16 +258,6 @@ def collect_result(
                 result.critical_path = report.to_dict()
         result.breakdown_ns = layer_breakdown(obs)
         result.latency_us = latency_percentiles(obs)
-        result.obs_document = registry_document(
-            obs,
-            meta={
-                "store": store_name,
-                "workload": workload,
-                "num_ops": num_ops,
-                "value_size": config.value_size,
-                "scale": config.scale,
-            },
-        )
     return result
 
 

@@ -219,7 +219,6 @@ def _slo_row(base, telemetry: Telemetry, config: SloConfig) -> Dict[str, object]
         "workload": base.workload,
         "ops": base.num_ops,
         "value_size": base.value_size,
-        "scenario": "serve",
         "interval_ns": config.interval_ns,
         "horizon_ns": config.horizon_ns,
         "samples": telemetry.sampler.samples,
@@ -332,8 +331,8 @@ def render_dashboard(result: SloRunResult, width: int = 60) -> str:
     row = result.row
     horizon = int(row["horizon_ns"])
     title = (
-        f"flight recorder — {row['store']}/{row['workload']} "
-        f"({row['scenario']}), {sampler.samples} samples @ "
+        f"flight recorder — {row['store']}/{row['workload']}, "
+        f"{sampler.samples} samples @ "
         f"{sampler.interval_ns / 1e6:g} ms over {horizon / 1e6:g} ms"
     )
     lines = [title, "-" * min(len(title), 78)]

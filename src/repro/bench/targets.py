@@ -808,7 +808,6 @@ def _slo(args: argparse.Namespace) -> int:
     print(rendered)
     meta = {
         "target": "slo",
-        "scenario": "serve",
         "store": args.store,
         "scale": args.scale,
         "seed": args.seed,

@@ -58,8 +58,8 @@ class SpanCollector:
     """A span listener that keeps only (name, start, end) triples.
 
     Attach with ``registry.add_span_listener(collector)`` before the
-    reference run; unlike ``registry.spans`` it is unbounded by
-    ``max_spans`` and sees child spans too.
+    reference run. It sees child spans too, keeps no span object and has
+    no bound.
     """
 
     def __init__(self) -> None:

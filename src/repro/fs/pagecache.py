@@ -87,13 +87,6 @@ class PageCache:
             "evictions": self.evictions,
         }
 
-    def _page_range(self, offset: int, nbytes: int) -> range:
-        if nbytes <= 0:
-            return range(0)
-        first = offset // PAGE_SIZE
-        last = (offset + nbytes - 1) // PAGE_SIZE
-        return range(first, last + 1)
-
     def _evict_if_needed(self) -> None:
         pages = self._pages
         capacity = self._capacity_pages

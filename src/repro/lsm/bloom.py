@@ -6,14 +6,6 @@ import zlib
 from typing import Callable, Iterable, Optional, Tuple
 
 
-def _base_hash(key: bytes) -> int:
-    # crc32 of the key and of its reverse give two independent-enough
-    # 32-bit hashes for Kirsch-Mitzenmacher double hashing.
-    h1 = zlib.crc32(key) & 0xFFFFFFFF
-    h2 = zlib.crc32(key[::-1], 0x9747B28C) & 0xFFFFFFFF
-    return h1 | (h2 << 32)
-
-
 class BloomFilter:
     """Immutable bloom filter over a set of keys.
 

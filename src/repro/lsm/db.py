@@ -363,12 +363,23 @@ class DB:
         return doc
 
     def _replay_logs(self, at: int) -> int:
-        """Rebuild the memtable from logs newer than the version's log."""
+        """Rebuild the memtable from logs newer than the version's log.
+
+        Every file number in the directory counts as used (LevelDB's
+        ``MarkFileNumberUsed``): a table made after the last durable
+        MANIFEST edit can survive a crash, and the replay's dumps must
+        not hand its number out again. vLog segments number themselves.
+        """
         t = at
+        versions = self.versions
         logs: List[int] = []
         for path in self.fs.list_dir(self.dbname + "/"):
             kind, number = parse_file_name(self.dbname, path)
-            if kind == "log" and number >= self.versions.log_number:
+            if number is None or kind == "vlog":
+                continue
+            if number >= versions.next_file_number:
+                versions.next_file_number = number + 1
+            if kind == "log" and number >= versions.log_number:
                 logs.append(number)
         for number in sorted(logs):
             handle, t = self.fs.open(log_file_name(self.dbname, number), at=t)
@@ -1499,11 +1510,3 @@ class DB:
                 "bytes_compacted_out": self.stats.bytes_compacted_out,
             },
         }
-
-    # convenience for tests ------------------------------------------------
-
-    def get_str(self, key: str, at: int) -> Tuple[Optional[bytes], int]:
-        return self.get(key.encode(), at)
-
-    def put_str(self, key: str, value: str, at: int) -> int:
-        return self.put(key.encode(), value.encode(), at)

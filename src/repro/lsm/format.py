@@ -141,10 +141,6 @@ def parse_internal_key(internal_key: bytes) -> Tuple[bytes, int, int]:
     return internal_key[:-8], tag >> 8, tag & 0xFF
 
 
-def internal_key_user_part(internal_key: bytes) -> bytes:
-    return internal_key[:-8]
-
-
 def internal_compare(a: bytes, b: bytes) -> int:
     """LevelDB's internal comparator.
 

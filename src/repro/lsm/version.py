@@ -301,10 +301,6 @@ class VersionSet:
         self.next_file_number += 1
         return number
 
-    def reuse_file_number(self, number: int) -> None:
-        if number == self.next_file_number - 1:
-            self.next_file_number = number
-
     # ------------------------------------------------------------------
     # manifest persistence
     # ------------------------------------------------------------------

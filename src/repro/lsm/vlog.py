@@ -157,10 +157,6 @@ class VLog:
     def head_number(self) -> Optional[int]:
         return self._head_number
 
-    @property
-    def head_ino(self) -> Optional[int]:
-        return self._head.ino if self._head is not None else None
-
     def _ensure_head(self, at: int) -> int:
         if self._head is not None:
             return at

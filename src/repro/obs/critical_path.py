@@ -104,12 +104,17 @@ class CriticalPathReport:
 def analyze_write_path(
     registry: MetricRegistry, op: str = "db.write"
 ) -> CriticalPathReport:
-    """Decompose every traced ``op`` root span into segment attribution."""
+    """Decompose every traced ``op`` root span into segment attribution.
+
+    The spans are the ones the registry's tracer kept, in finish order;
+    a registry with no tracer gives a report with a count of 0.
+    """
     report = CriticalPathReport(op=op)
     ops: List[Dict[str, int]] = []
     totals: List[int] = []
-    for span in registry.spans:
-        if span.name != op or span.end_ns is None:
+    tracer = registry.tracer
+    for span in tracer.spans if tracer is not None else ():
+        if span.parent is not None or span.name != op:
             continue
         total = span.duration_ns
         parts: Dict[str, int] = {"__total__": total}

@@ -13,9 +13,11 @@ machine-readable so benchmark trajectories can be diffed across runs:
       "histograms": {"db.put_ns": {"count", "sum", "min", "max",
                                    "mean", "p50", "p95", "p99"}, ...},
       "sources": {"device": {...}, "sync": {...}, ...},
-      "breakdown_ns": {"device", "journal", "compaction", "stalls"},
-      "spans": {"collected": N, "dropped": M, "roots": [...]}   # first K
+      "breakdown_ns": {"device", "journal", "compaction", "stalls"}
     }
+
+Spans are not part of it: the registry keeps none, and the span export
+is the tracer's Chrome trace (:func:`repro.obs.trace.write_chrome_trace`).
 
 ``layer_breakdown`` answers the paper's core question — *where did the
 virtual time go?* — from well-known metric names: device busy time from
@@ -72,7 +74,6 @@ def layer_breakdown(registry: MetricRegistry) -> Dict[str, int]:
 def registry_document(
     registry: MetricRegistry,
     meta: Optional[Dict[str, object]] = None,
-    max_spans: int = 1000,
 ) -> Dict[str, object]:
     """The full versioned export document for one registry."""
     snapshot = registry.snapshot()
@@ -85,11 +86,6 @@ def registry_document(
         "windowed": snapshot.get("windowed", {}),
         "sources": snapshot.get("sources", {}),
         "breakdown_ns": layer_breakdown(registry),
-        "spans": {
-            "collected": len(registry.spans),
-            "dropped": registry.spans_dropped,
-            "roots": [s.to_dict() for s in registry.spans[:max_spans]],
-        },
     }
 
 

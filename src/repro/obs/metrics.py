@@ -348,14 +348,15 @@ SpanListener = Callable[[Span], None]
 
 
 class MetricRegistry:
-    """Instrument factory + span collector + snapshot aggregator.
+    """Instrument factory + span stream + snapshot aggregator.
 
     - :meth:`counter` / :meth:`gauge` / :meth:`histogram` create or
       return the named instrument (shared by name).
-    - :meth:`start_span` opens a virtual-time :class:`Span`; finished
-      root spans are collected (bounded by ``max_spans``) and every
-      finished span feeds a ``span.<name>_ns`` duration histogram — the
-      basis of the per-layer time breakdown.
+    - :meth:`start_span` opens a virtual-time :class:`Span`. A finished
+      span feeds a ``span.<name>_ns`` duration histogram — the basis of
+      the per-layer time breakdown — and is passed to every span
+      listener; the registry keeps no span. An attached
+      :class:`~repro.obs.trace.Tracer` is the one place spans are kept.
     - :meth:`register_source` plugs in a component's own ``snapshot()``
       (e.g. :class:`~repro.sim.stats.DeviceStats`), so legacy stats
       appear in the unified snapshot without per-op double counting.
@@ -363,15 +364,12 @@ class MetricRegistry:
 
     enabled = True
 
-    def __init__(self, max_spans: int = 100_000) -> None:
-        self.max_spans = max_spans
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._windowed: Dict[str, WindowedHistogram] = {}
         self._sources: Dict[str, SnapshotSource] = {}
-        self.spans: List[Span] = []
-        self.spans_dropped = 0
         self._span_listeners: List[SpanListener] = []
         #: the attached :class:`~repro.obs.trace.Tracer`, if any
         self.tracer = None
@@ -452,27 +450,19 @@ class MetricRegistry:
         self.histogram(f"span.{span.name}_ns").record(span.duration_ns)
         for listener in self._span_listeners:
             listener(span)
-        if span.parent is None:
-            if len(self.spans) < self.max_spans:
-                self.spans.append(span)
-            else:
-                self.spans_dropped += 1
 
     def add_span_listener(self, listener: SpanListener) -> None:
         """Call ``listener(span)`` for every span as it finishes.
 
-        Unlike the bounded ``spans`` collection, listeners see *every*
-        finished span (children included) as a stream — the crash-test
-        harness uses this to discover injection points without retaining
-        the spans themselves.
+        Listeners see every finished span (children included) as a
+        stream, and the registry keeps none of them. The tracer keeps
+        spans this way; the crash-test harness discovers injection
+        points without keeping them.
         """
         self._span_listeners.append(listener)
 
     def remove_span_listener(self, listener: SpanListener) -> None:
         self._span_listeners.remove(listener)
-
-    def spans_named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
 
     # ------------------------------------------------------------------
     # aggregation
@@ -490,14 +480,10 @@ class MetricRegistry:
                 n: w.snapshot() for n, w in sorted(self._windowed.items())
             },
             "sources": {n: fn() for n, fn in sorted(self._sources.items())},
-            "spans": {
-                "collected": len(self.spans),
-                "dropped": self.spans_dropped,
-            },
         }
 
     def reset(self) -> None:
-        """Zero every instrument and forget collected spans.
+        """Zero every instrument and the attached tracer's record.
 
         Registered sources are kept but not reset — they belong to their
         components (call their own ``reset()`` for a new experiment).
@@ -510,8 +496,6 @@ class MetricRegistry:
             cell.reset()
         for cell in self._windowed.values():
             cell.reset()
-        self.spans.clear()
-        self.spans_dropped = 0
         if self.tracer is not None:
             self.tracer.reset()
 
@@ -525,9 +509,6 @@ class NullRegistry(MetricRegistry):
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(max_spans=0)
 
     def counter(self, name: str) -> Counter:
         return NULL_COUNTER

@@ -3,8 +3,9 @@
 A :class:`Span` covers one logical operation on the virtual clock — a
 journal commit, a compaction, a reclamation poll. Spans carry structured
 attributes, may nest (``span.child(...)``), and report their duration
-once ended. Finished root spans are collected by the registry that
-created them.
+once ended. The registry that created a span streams it to its span
+listeners when it ends and keeps nothing; an attached
+:class:`~repro.obs.trace.Tracer` is the one place that keeps spans.
 
 Spans are time-explicit like everything else in the simulation: the
 caller passes the virtual start time at creation and the virtual end
@@ -84,8 +85,8 @@ class Span:
     def end(self, at: int) -> int:
         """Close the span at virtual time ``at``; returns ``at`` unchanged.
 
-        Ending twice keeps the first end time (idempotent). Root spans
-        are handed to the registry on their first end.
+        Ending twice keeps the first end time (idempotent). The span is
+        handed to its registry on its first end.
         """
         if self.end_ns is None:
             self.end_ns = max(int(at), self.start_ns)

@@ -107,24 +107,22 @@ class Tracer:
         stack = StorageStack(StackConfig(obs=registry))
 
     The tracer sees every finished span through the registry's listener
-    stream (children included) and keeps a bounded copy for export.
+    stream (children included) and is the one place that keeps them: a
+    bounded list in finish order, read by the Chrome export and by
+    :func:`~repro.obs.critical_path.analyze_write_path`.
     """
 
-    def __init__(
-        self,
-        registry: MetricRegistry,
-        max_spans: int = 500_000,
-        max_io: int = 500_000,
-        max_flows: int = 100_000,
-    ) -> None:
+    #: bounds on what is kept; past them a record is counted as dropped
+    max_spans = 500_000
+    max_io = 500_000
+    max_flows = 100_000
+
+    def __init__(self, registry: MetricRegistry) -> None:
         if not registry.enabled:
             raise ValueError("cannot attach a Tracer to a disabled registry")
         if registry.tracer is not None:
             raise RuntimeError("registry already has a tracer attached")
         self.registry = registry
-        self.max_spans = max_spans
-        self.max_io = max_io
-        self.max_flows = max_flows
         self._next_trace = 1
         self._next_flow = 1
         self._track_stack: List[str] = ["client"]

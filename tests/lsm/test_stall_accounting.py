@@ -60,12 +60,15 @@ def fill(db, n=300, seed=7, value_size=512):
 
 
 def stall_spans_by_cause(obs):
+    """The ``lsm.write_stall`` durations by cause, filled as spans end."""
     sums = {}
-    for span in obs.spans:
-        if span.name != "lsm.write_stall":
-            continue
-        cause = span.attrs.get("cause")
-        sums[cause] = sums.get(cause, 0) + span.duration_ns
+
+    def on_span(span):
+        if span.name == "lsm.write_stall":
+            cause = span.attrs.get("cause")
+            sums[cause] = sums.get(cause, 0) + span.duration_ns
+
+    obs.add_span_listener(on_span)
     return sums
 
 
@@ -76,10 +79,10 @@ def stall_spans_by_cause(obs):
 
 def test_observed_run_emits_stall_spans_without_tracer():
     db, stack = observed_db()
+    by_cause = stall_spans_by_cause(stack.obs)
     fill(db)
     stats = db.stats
     assert stats.blocked_ns > 0, "workload too light to stall; fix the test"
-    by_cause = stall_spans_by_cause(stack.obs)
     assert by_cause, "no lsm.write_stall spans on an observed run"
     # the spans exactly tile the counters, cause by cause
     assert by_cause.get("memtable_full", 0) == stats.stall_memtable_ns
@@ -97,10 +100,11 @@ def test_unobserved_run_stays_quiet_but_counts():
 
 def test_charge_skips_empty_intervals():
     db, stack = observed_db()
+    by_cause = stall_spans_by_cause(stack.obs)
     before = db.stats.snapshot()
     db.pressure.charge(L0_SLOWDOWN, 100, 100)
     db.pressure.charge(L0_STOP, 100, 50)
-    assert stall_spans_by_cause(stack.obs) == {}
+    assert by_cause == {}
     assert db.stats.snapshot() == before
     assert stack.obs.counter("db.stall.l0_stop_ns").value == 0
 
@@ -214,9 +218,9 @@ def test_dynamic_slowdown_ramp_is_monotone_and_bounded(monkeypatch):
 
 def test_dynamic_slowdown_charges_slowdown_not_stall():
     db, stack = observed_db(stability_ingest_bytes_per_sec=INGEST)
+    by_cause = stall_spans_by_cause(stack.obs)
     fill(db)
     stats = db.stats
     if stats.slowdown_ns:
-        by_cause = stall_spans_by_cause(stack.obs)
         assert by_cause.get("l0_slowdown", 0) == stats.slowdown_ns
     assert stats.stall_ns == stats.stall_memtable_ns + stats.stall_l0_stop_ns

@@ -47,19 +47,10 @@ def test_registry_document_shape_and_schema():
     doc = registry_document(_populated_registry(), meta={"run": "unit"})
     assert doc["schema"] == SCHEMA == "repro.obs/1"
     assert doc["meta"] == {"run": "unit"}
-    for key in ("counters", "gauges", "histograms", "sources", "breakdown_ns", "spans"):
+    for key in ("counters", "gauges", "histograms", "sources", "breakdown_ns"):
         assert key in doc, key
-    assert doc["spans"]["collected"] == 3
-    assert doc["spans"]["dropped"] == 0
-    assert len(doc["spans"]["roots"]) == 3
+    assert "spans" not in doc
     assert doc["sources"]["device"] == {"busy_ns": 1_000}
-
-
-def test_document_span_roots_are_bounded():
-    reg = _populated_registry()
-    doc = registry_document(reg, max_spans=1)
-    assert doc["spans"]["collected"] == 3
-    assert len(doc["spans"]["roots"]) == 1
 
 
 def test_to_json_round_trips():

@@ -8,7 +8,7 @@ recording never touches the virtual clock.
 
 import json
 
-from repro.bench.db_bench import run_workload
+from repro.bench.db_bench import WORKLOADS, run_workload
 from repro.bench.harness import ScaledConfig
 from repro.bench.report import (
     RESULTS_SCHEMA,
@@ -17,14 +17,16 @@ from repro.bench.report import (
     results_document,
     write_json,
 )
-from repro.obs.export import SCHEMA
+from repro.obs.export import SCHEMA, registry_document
 
 SCALE = 2000.0
 NUM_OPS = 1500
 
 
-def _config(observe):
-    return ScaledConfig(scale=SCALE, num_ops=NUM_OPS, observe=observe)
+def _config(observe=False, trace=False):
+    return ScaledConfig(
+        scale=SCALE, num_ops=NUM_OPS, observe=observe, trace=trace
+    )
 
 
 def test_observation_does_not_change_virtual_timing():
@@ -36,8 +38,7 @@ def test_observation_does_not_change_virtual_timing():
     assert observed.stall_ns == plain.stall_ns
     # only the observed run carries the extra sections
     assert plain.latency_us == {} and plain.breakdown_ns == {}
-    assert plain.obs_document is None
-    assert observed.obs_document is not None
+    assert observed.latency_us != {} and observed.breakdown_ns != {}
 
 
 def test_observed_run_reports_breakdown_and_percentiles():
@@ -53,18 +54,17 @@ def test_observed_run_reports_breakdown_and_percentiles():
     assert 0 < put["p50"] <= put["p95"] <= put["p99"]
 
 
-def test_obs_document_is_valid_and_serializable():
-    result = run_workload("fillrandom", "noblsm", _config(observe=True))
-    doc = result.obs_document
+def test_traced_run_keeps_minor_compaction_roots_and_exports():
+    config = _config(trace=True)
+    result, stack, _ = WORKLOADS["fillrandom"]("noblsm", config)
+    roots = [s for s in stack.obs.tracer.spans if s.parent is None]
+    minor = next(s for s in roots if s.name == "db.compaction.minor")
+    assert minor.attrs["input_bytes"] > 0
+    doc = registry_document(stack.obs, meta={"workload": "fillrandom"})
     assert doc["schema"] == SCHEMA
     assert doc["meta"]["workload"] == "fillrandom"
     assert doc["breakdown_ns"] == result.breakdown_ns
     assert doc["histograms"]["db.put_ns"]["count"] == NUM_OPS
-    assert doc["spans"]["collected"] > 0
-    roots = doc["spans"]["roots"]
-    assert any(r["name"] == "db.compaction.minor" for r in roots)
-    minor = next(r for r in roots if r["name"] == "db.compaction.minor")
-    assert minor["attrs"]["input_bytes"] > 0
     assert "journal" in doc["sources"] and "device" in doc["sources"]
     json.dumps(doc)  # must not raise
 
@@ -98,14 +98,14 @@ def test_report_tables_render_observed_columns():
 
 
 def test_journal_commit_spans_carry_transaction_attrs():
-    config = _config(observe=True)
+    config = _config(trace=True)
     stack, db = config.build_store("leveldb")
     t = stack.now
     for i in range(200):
         t = db.put(b"k%06d" % i, b"v" * 512, at=t)
     t = db.wait_for_background(t)
     stack.settle()
-    commits = stack.obs.spans_named("journal.commit")
+    commits = [s for s in stack.obs.tracer.spans if s.name == "journal.commit"]
     assert commits, "journal should have committed at least once"
     span = commits[0]
     assert span.ended

@@ -1,5 +1,7 @@
 """Unit tests for virtual-time spans."""
 
+import weakref
+
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import NULL_SPAN, Span
 
@@ -43,23 +45,41 @@ def test_child_spans_nest_and_serialize():
     assert doc["children"][0]["attrs"] == {"step": 1}
 
 
-def test_registry_collects_only_roots_but_times_all():
+def test_registry_streams_every_span_and_times_all():
     reg = MetricRegistry()
+    seen = []
+    reg.add_span_listener(seen.append)
     root = reg.start_span("outer", at=0)
     child = reg.start_span("inner", at=5, parent=root)
     child.end(15)
     root.end(40)
-    assert [s.name for s in reg.spans] == ["outer"]
-    assert reg.spans_named("outer") == [root]
+    assert seen == [child, root]
+    assert [s for s in seen if s.parent is None] == [root]
     assert reg.find_histogram("span.inner_ns").count == 1
     assert reg.find_histogram("span.outer_ns").sum == 40
 
 
 def test_unfinished_spans_are_not_collected():
     reg = MetricRegistry()
+    seen = []
+    reg.add_span_listener(seen.append)
     reg.start_span("open", at=0)
-    assert reg.spans == []
+    assert seen == []
     assert reg.find_histogram("span.open_ns") is None
+
+
+class _WeakSpan(Span):
+    """A span that can take a weak reference (``Span`` has slots)."""
+
+
+def test_registry_keeps_no_finished_span():
+    reg = MetricRegistry()
+    span = _WeakSpan("op", 0, registry=reg)
+    probe = weakref.ref(span)
+    span.end(10)
+    del span
+    assert probe() is None
+    assert reg.find_histogram("span.op_ns").count == 1
 
 
 def test_null_span_absorbs_everything():

@@ -111,6 +111,17 @@ def test_flow_src_clamped_to_dst():
     assert tracer.flows[0].src_ts <= tracer.flows[0].dst_ts
 
 
+def test_tracer_span_list_is_bounded(monkeypatch):
+    monkeypatch.setattr(Tracer, "max_spans", 2)
+    registry, tracer = traced_registry()
+    for i in range(5):
+        registry.start_span("op", at=i).end(i + 1)
+    assert len(tracer.spans) == 2
+    assert tracer.spans_dropped == 3
+    # every finished span still fed the duration histogram
+    assert registry.find_histogram("span.op_ns").count == 5
+
+
 def test_registry_reset_clears_tracer():
     registry, tracer = traced_registry()
     registry.start_span("db.write", 0).end(5)

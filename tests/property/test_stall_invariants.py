@@ -23,9 +23,11 @@ STORES = ("leveldb", "noblsm")
 
 
 def run_workload(store, channels, threads, seed, ingest=0):
+    obs = MetricRegistry()
+    sums = span_sums(obs)
     stack = StorageStack(
         StackConfig(
-            obs=MetricRegistry(),
+            obs=obs,
             num_channels=channels if channels != 1 else None,
         )
     )
@@ -50,17 +52,21 @@ def run_workload(store, channels, threads, seed, ingest=0):
         if rng.random() < 0.05:
             db.get(key, at=t)
     db.wait_for_background(t)
-    return db, stack
+    return db, sums
 
 
 def span_sums(obs):
+    """The ``lsm.write_stall`` durations by cause, filled as spans end."""
     sums = {}
-    for span in obs.spans:
+
+    def on_span(span):
         if span.name != "lsm.write_stall":
-            continue
+            return
         assert span.duration_ns > 0, "zero-length stall span emitted"
         cause = span.attrs.get("cause")
         sums[cause] = sums.get(cause, 0) + span.duration_ns
+
+    obs.add_span_listener(on_span)
     return sums
 
 
@@ -68,7 +74,7 @@ def span_sums(obs):
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("seed", [1, 17, 4242])
 def test_stall_counters_tile_and_spans_match(store, channels, threads, seed):
-    db, stack = run_workload(store, channels, threads, seed)
+    db, sums = run_workload(store, channels, threads, seed)
     stats = db.stats
 
     # invariant 1: hard stalls are exactly attributed to their causes
@@ -81,7 +87,6 @@ def test_stall_counters_tile_and_spans_match(store, channels, threads, seed):
     # writer-blocked causes sum to blocked_ns, while ``major_deferred``
     # (a parallel-scheduler deferral, not writer-blocked time) is the
     # only other cause allowed and never leaks into the counters
-    sums = span_sums(stack.obs)
     assert sums.get("memtable_full", 0) == stats.stall_memtable_ns
     assert sums.get("l0_stop", 0) == stats.stall_l0_stop_ns
     assert sums.get("l0_slowdown", 0) == stats.slowdown_ns
@@ -103,7 +108,7 @@ def test_stall_counters_tile_and_spans_match(store, channels, threads, seed):
 def test_invariants_hold_with_dynamic_slowdown(channels, threads):
     # stability tuning on: dynamic slowdown, the rate limiter and fair
     # preemption of deeper picks by the L0 drain
-    db, stack = run_workload(
+    db, sums = run_workload(
         "noblsm", channels, threads, seed=99, ingest=75_000
     )
     limiter = db.pressure.limiter
@@ -111,7 +116,6 @@ def test_invariants_hold_with_dynamic_slowdown(channels, threads):
     stats = db.stats
     assert stats.slowdown_ns > 0
     assert stats.stall_ns == stats.stall_memtable_ns + stats.stall_l0_stop_ns
-    sums = span_sums(stack.obs)
     assert sums.get("l0_slowdown", 0) == stats.slowdown_ns
     assert (
         sums.get("memtable_full", 0)

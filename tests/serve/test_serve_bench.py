@@ -9,6 +9,7 @@ be deterministic (modulo the host section) and gateable by
 """
 
 import copy
+import gc
 import json
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ import pytest
 from repro.bench.compare import compare_documents
 from repro.bench.report import results_document, write_json
 from repro.bench.targets import SERVE_METRICS
+from repro.obs.spans import Span
 from repro.serve.bench import (
     SERVE_SCHEMA,
     ServeConfig,
@@ -163,6 +165,48 @@ def test_serve_run_is_deterministic_modulo_host():
     assert json.dumps(canonical(a), sort_keys=True) == json.dumps(
         canonical(b), sort_keys=True
     )
+
+
+def _spans_held_by(root):
+    """Every Span reachable from ``root`` through plain containers."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, Span):
+                found.append(ref)
+            elif isinstance(ref, (dict, list, tuple, set)):
+                todo.append(ref)
+    return found
+
+
+def test_shard_registries_keep_no_span():
+    clusters = []
+
+    class Rig:
+        """The telemetry hooks ``run_serve`` calls, recording nothing."""
+
+        registry = None
+
+        def on_cluster(self, cluster):
+            clusters.append(cluster)
+
+        def advance(self, at):
+            pass
+
+        def finish(self, at):
+            pass
+
+    result = run_serve(TINY, telemetry=Rig())
+    assert result.num_ops > 0
+    (cluster,) = clusters
+    for shard in cluster.shards:
+        obs = shard.stack.obs
+        assert obs.find_histogram("span.fs.writeback_ns").count > 0
+        assert _spans_held_by(obs) == []
 
 
 def test_fair_variant_same_workload_different_tuning():

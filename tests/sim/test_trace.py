@@ -13,9 +13,9 @@ from repro.sim.latency import MIB, PM883
 from repro.sim.ssd import SSD
 
 
-def traced_ssd(**tracer_args):
+def traced_ssd():
     registry = MetricRegistry()
-    tracer = Tracer(registry, **tracer_args)
+    tracer = Tracer(registry)
     return SSD(VirtualClock(), PM883, obs=registry), tracer
 
 
@@ -35,8 +35,9 @@ def test_trace_records_operations():
         assert after.start_ns == before.end_ns
 
 
-def test_trace_capacity_drops_overflow():
-    ssd, tracer = traced_ssd(max_io=2)
+def test_trace_capacity_drops_overflow(monkeypatch):
+    monkeypatch.setattr(Tracer, "max_io", 2)
+    ssd, tracer = traced_ssd()
     for _ in range(5):
         ssd.write(1024, at=0)
     assert len(tracer.io_slices) == 2
